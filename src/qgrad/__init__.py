@@ -12,6 +12,7 @@ from .core import (
     ProblemSpec,
     decode_outcome,
     encode_input,
+    lattice_points,
     nearest_lattice_index,
     quantize_output,
     round_half_down,
@@ -40,7 +41,6 @@ from .qsim import (
     fourier_transform,
     ideal_planewave,
     ideal_state_fidelity,
-    lattice_points,
     outcome_distribution,
     run_gradient_estimation,
     sample,

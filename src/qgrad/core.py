@@ -87,6 +87,15 @@ class ProblemSpec:
         return self.N ** self.d
 
 
+def lattice_points(spec: ProblemSpec) -> np.ndarray:
+    """All lattice index vectors, shape (N**d, d), row-major order.
+
+    The one enumeration of [0,N)^d: row i equals np.unravel_index(i, spec.shape).
+    """
+    axes = [np.arange(spec.N)] * spec.d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
+
+
 def _index_array(values, spec: ProblemSpec, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim == 0:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemSpec, encode_input
+from .core import ProblemSpec, encode_input, lattice_points
 
 
 @dataclass
@@ -134,14 +134,16 @@ def scanned_range(fn: TestFunction, spec: ProblemSpec, points_per_axis: int | No
 
     With points_per_axis=None the scan covers every lattice point, so the
     bounds are exact for the sampled domain; a coarse scan may miss extrema
-    between scanned points.
+    between scanned points; it needs points_per_axis >= 2.
     """
     if points_per_axis is None:
-        axes = [np.arange(spec.N)] * spec.d
+        deltas = lattice_points(spec)
     else:
-        axes = [np.unique(np.round(np.linspace(0, spec.N - 1, points_per_axis)).astype(int))] * spec.d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
-    values = fn.eval(encode_input(mesh, spec))
+        if points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be >= 2, got {points_per_axis}")
+        axis = np.unique(np.round(np.linspace(0, spec.N - 1, points_per_axis)).astype(int))
+        deltas = axis[lattice_points(replace(spec, N=axis.size))]
+    values = fn.eval(encode_input(deltas, spec))
     return float(np.min(values)), float(np.max(values))
 
 

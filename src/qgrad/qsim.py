@@ -20,37 +20,42 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ProblemSpec, decode_outcome, encode_input, nearest_lattice_index, quantize_output
+from .core import (
+    ProblemSpec,
+    decode_outcome,
+    encode_input,
+    lattice_points,
+    nearest_lattice_index,
+    quantize_output,
+)
 from .functions import TestFunction
 
 BRUTE_FORCE_MAX_POINTS = 4096
 
 
+def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype).reshape(-1)
+    if arr.size != spec.size:
+        raise ValueError(f"{what} has length {arr.size}, expected N**d = {spec.size}")
+    return arr
+
+
 @dataclass
 class AmplitudeGrid:
-    """Complex amplitude field over the lattice [0,N)^d, flat row-major order.
+    """Complex amplitude field over the lattice of `spec`, flat row-major order.
 
     query_count records how many batched oracle invocations built the grid.
     """
 
-    dims: tuple[int, int]  # (d, N)
+    spec: ProblemSpec
     amps: np.ndarray
     query_count: int = 0
-    spec: ProblemSpec | None = None
 
     def __post_init__(self):
-        d, N = self.dims
-        self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if self.amps.size != N ** d:
-            raise ValueError(f"amps has length {self.amps.size}, expected N**d = {N ** d}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        d, N = self.dims
-        return (N,) * d
+        self.amps = _flat(self.amps, self.spec, complex, "amps")
 
     def reshaped(self) -> np.ndarray:
-        return self.amps.reshape(self.shape)
+        return self.amps.reshape(self.spec.shape)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -58,42 +63,21 @@ class AmplitudeGrid:
 
 @dataclass
 class OutcomeDistribution:
-    """Probability mass over lattice outcomes k in [0,N)^d, flat row-major."""
+    """Probability mass over the outcomes k of the lattice of `spec`, flat row-major."""
 
-    dims: tuple[int, int]
+    spec: ProblemSpec
     probs: np.ndarray
-    spec: ProblemSpec | None = None
 
     def __post_init__(self):
-        d, N = self.dims
-        self.probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        if self.probs.size != N ** d:
-            raise ValueError(f"probs has length {self.probs.size}, expected N**d = {N ** d}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        d, N = self.dims
-        return (N,) * d
+        self.probs = _flat(self.probs, self.spec, float, "probs")
 
     def reshaped(self) -> np.ndarray:
-        return self.probs.reshape(self.shape)
+        return self.probs.reshape(self.spec.shape)
 
     def marginal(self, axis: int) -> np.ndarray:
         """Marginal probability over a single axis, shape (N,)."""
-        d, _ = self.dims
-        other = tuple(i for i in range(d) if i != axis)
+        other = tuple(i for i in range(self.spec.d) if i != axis)
         return self.reshaped().sum(axis=other) if other else self.probs.copy()
-
-    def decode(self, k) -> np.ndarray:
-        if self.spec is None:
-            raise ValueError("distribution carries no ProblemSpec for decoding")
-        return decode_outcome(k, self.spec)
-
-
-def lattice_points(spec: ProblemSpec) -> np.ndarray:
-    """All lattice index vectors, shape (N**d, d), row-major order."""
-    axes = [np.arange(spec.N)] * spec.d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
 
 
 def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
@@ -110,7 +94,7 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
         _check_declared_range(values, f)
     g = quantize_output(values, spec)
     amps = np.exp(2j * np.pi * g / spec.N_o) / spec.N ** (spec.d / 2.0)
-    return AmplitudeGrid(dims=(spec.d, spec.N), amps=amps, query_count=1, spec=spec)
+    return AmplitudeGrid(spec, amps, query_count=1)
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
@@ -140,9 +124,9 @@ def fourier_transform(grid: AmplitudeGrid, direction: str = "forward") -> Amplit
     so a planewave exp(+i*2*pi*nu.delta/N) lands on outcome k = nu mod N.
     Works for any N (mixed-radix / Bluestein under the hood).
     """
-    d, N = grid.dims
+    spec = grid.spec
     a = grid.reshaped()
-    scale = N ** (d / 2.0)
+    scale = spec.N ** (spec.d / 2.0)
     if direction == "forward":
         out = np.fft.fftn(a) / scale
     elif direction == "inverse":
@@ -158,29 +142,27 @@ def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> Am
     Independent of the fast path; used as an oracle to validate it.  Guarded
     to small grids.
     """
-    d, N = grid.dims
-    size = N ** d
-    if size > BRUTE_FORCE_MAX_POINTS:
-        raise ValueError(f"brute-force transform limited to {BRUTE_FORCE_MAX_POINTS} points, got {size}")
+    spec = grid.spec
+    if spec.size > BRUTE_FORCE_MAX_POINTS:
+        raise ValueError(f"brute-force transform limited to {BRUTE_FORCE_MAX_POINTS} points, got {spec.size}")
     if direction == "forward":
         sign = -1.0
     elif direction == "inverse":
         sign = 1.0
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    axes = [np.arange(N)] * d
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    out = np.empty(size, dtype=complex)
-    scale = N ** (d / 2.0)
-    for i in range(size):
+    coords = lattice_points(spec)
+    out = np.empty(spec.size, dtype=complex)
+    scale = spec.N ** (spec.d / 2.0)
+    for i in range(spec.size):
         dots = coords @ coords[i]
-        out[i] = np.sum(grid.amps * np.exp(sign * 2j * np.pi * dots / N)) / scale
+        out[i] = np.sum(grid.amps * np.exp(sign * 2j * np.pi * dots / spec.N)) / scale
     return replace(grid, amps=out)
 
 
 def outcome_distribution(grid: AmplitudeGrid) -> OutcomeDistribution:
     """Computational-basis measurement probabilities |amps|^2 (no renormalizing)."""
-    return OutcomeDistribution(dims=grid.dims, probs=np.abs(grid.amps) ** 2, spec=grid.spec)
+    return OutcomeDistribution(grid.spec, np.abs(grid.amps) ** 2)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
@@ -194,7 +176,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(seed))
     p = dist.probs / dist.probs.sum()
     flat = rng.choice(dist.probs.size, size=shots, p=p)
-    return np.column_stack(np.unravel_index(flat, dist.shape)).astype(np.int64)
+    return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
 
 
 # -- Circular statistics on the periodic outcome lattice ---------------------
@@ -277,10 +259,10 @@ def run_gradient_estimation(
     dist = outcome_distribution(transformed)
 
     flat_mode = int(np.argmax(dist.probs))
-    mode_index = np.array(np.unravel_index(flat_mode, dist.shape))
+    mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
     true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
-    success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), dist.shape)])
+    success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])
 
     means = np.empty(spec.d)
     variances = np.empty(spec.d)
@@ -317,18 +299,16 @@ def ideal_planewave(gradient, spec: ProblemSpec) -> AmplitudeGrid:
     g = np.atleast_1d(np.asarray(gradient, dtype=float)).reshape(spec.d)
     phases = lattice_points(spec) @ (g / spec.m)
     amps = np.exp(2j * np.pi * phases) / spec.N ** (spec.d / 2.0)
-    return AmplitudeGrid(dims=(spec.d, spec.N), amps=amps, query_count=0, spec=spec)
+    return AmplitudeGrid(spec, amps)
 
 
-def ideal_state_fidelity(grid: AmplitudeGrid, true_gradient, spec: ProblemSpec | None = None) -> float:
+def ideal_state_fidelity(grid: AmplitudeGrid, true_gradient) -> float:
     """|<ideal|actual>| against the exact planewave for `true_gradient`.
 
     Bounded phase errors of at most theta per point keep this at cos(theta)
     or above, hence success probability at least cos^2(theta).
     """
-    spec = spec if spec is not None else grid.spec
-    if spec is None:
-        raise ValueError("grid carries no ProblemSpec; pass one explicitly")
+    spec = grid.spec
     g = np.atleast_1d(np.asarray(true_gradient, dtype=float)).reshape(spec.d)
     if np.any(g < -spec.m / 2.0) or np.any(g >= spec.m / 2.0):
         raise ValueError(f"true_gradient components must lie in [-m/2, m/2) = [{-spec.m / 2}, {spec.m / 2})")

@@ -166,7 +166,7 @@ def test_a7_transform_oracle_equivalence():
             N = int(rng.integers(2, 17))
             amps = rng.normal(size=N ** d) + 1j * rng.normal(size=N ** d)
             amps /= np.linalg.norm(amps)
-            grid = AmplitudeGrid(dims=(d, N), amps=amps)
+            grid = AmplitudeGrid(ProblemSpec(d=d, N=N, n_o=8, l=1.0, m=1.0), amps)
             direction = "forward" if rng.random() < 0.5 else "inverse"
             fast = fourier_transform(grid, direction)
             slow = brute_force_transform(grid, direction)

@@ -24,11 +24,15 @@ from qgrad import (
 )
 
 
+def lattice(d, N):
+    return ProblemSpec(d=d, N=N, n_o=8, l=1.0, m=1.0)
+
+
 def random_grid(N, d, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=N ** d) + 1j * rng.normal(size=N ** d)
     amps /= np.linalg.norm(amps)
-    return AmplitudeGrid(dims=(d, N), amps=amps)
+    return AmplitudeGrid(lattice(d, N), amps)
 
 
 # --- build_phase_state ---
@@ -100,7 +104,7 @@ def test_scalar_only_callable_falls_back():
 # --- fourier_transform / brute_force_transform ---
 
 def test_impulse_transforms_to_uniform_magnitudes():
-    grid = AmplitudeGrid(dims=(1, 8), amps=np.eye(8)[0])
+    grid = AmplitudeGrid(lattice(1, 8), np.eye(8)[0])
     out = fourier_transform(grid)
     assert np.abs(out.amps) == pytest.approx(np.full(8, 1 / np.sqrt(8)))
 
@@ -108,7 +112,7 @@ def test_impulse_transforms_to_uniform_magnitudes():
 def test_integer_planewave_maps_to_deterministic_outcome():
     N, nu = 8, 3
     amps = np.exp(2j * np.pi * nu * np.arange(N) / N) / np.sqrt(N)
-    out = fourier_transform(AmplitudeGrid(dims=(1, N), amps=amps))
+    out = fourier_transform(AmplitudeGrid(lattice(1, N), amps))
     probs = np.abs(out.amps) ** 2
     assert probs[nu] == pytest.approx(1.0, abs=1e-12)
 
@@ -137,7 +141,7 @@ def test_fast_path_agrees_with_brute_force(N, d):
 
 
 def test_brute_force_guard():
-    grid = AmplitudeGrid(dims=(1, 8192), amps=np.ones(8192) / np.sqrt(8192))
+    grid = AmplitudeGrid(lattice(1, 8192), np.ones(8192) / np.sqrt(8192))
     with pytest.raises(ValueError):
         brute_force_transform(grid)
 
@@ -152,7 +156,7 @@ def test_direction_validated():
 
 def test_uniform_grid_uniform_distribution():
     N = 8
-    grid = AmplitudeGrid(dims=(1, N), amps=np.full(N, 1 / np.sqrt(N)))
+    grid = AmplitudeGrid(lattice(1, N), np.full(N, 1 / np.sqrt(N)))
     dist = outcome_distribution(grid)
     assert dist.probs == pytest.approx(np.full(N, 1 / N))
 
@@ -167,7 +171,7 @@ def test_distribution_sum_tracks_norm_defect():
 def test_point_mass_sampling_is_constant():
     probs = np.zeros(16)
     probs[11] = 1.0
-    dist = outcome_distribution(AmplitudeGrid(dims=(1, 16), amps=np.sqrt(probs)))
+    dist = outcome_distribution(AmplitudeGrid(lattice(1, 16), np.sqrt(probs)))
     draws = sample(dist, shots=50, seed=3)
     assert np.all(draws == 11)
 
@@ -184,7 +188,7 @@ def test_sampling_is_deterministic_for_fixed_seed():
 
 def test_uniform_sampling_frequencies_within_binomial_bound():
     N, shots = 16, 100_000
-    grid = AmplitudeGrid(dims=(1, N), amps=np.full(N, 1 / np.sqrt(N)))
+    grid = AmplitudeGrid(lattice(1, N), np.full(N, 1 / np.sqrt(N)))
     draws = sample(outcome_distribution(grid), shots=shots, seed=7)
     freqs = np.bincount(draws[:, 0], minlength=N) / shots
     p = 1.0 / N
