@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .analysis import (
     support_membership,
 )
 from .classical import central_difference, error_scaling_fit, forward_difference
-from .core import ProblemSpec, signed_index
+from .core import ProblemSpec, lattice_points, signed_index
 from .functions import CATALOG, cubic_1d, linear, quadratic, scanned_range, sinusoid
 from .qsim import run_gradient_estimation
 
@@ -69,11 +68,6 @@ def _config_comment(args: argparse.Namespace) -> str:
     # the destination path is not part of the experiment configuration
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "out")}
     return f"config {json.dumps(cfg, sort_keys=True)} version={__version__}"
-
-
-def _point_seed(seed: int, index: int) -> int:
-    """Per-point stream derived from (seed, index); independent of scheduling."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _resolve_n(args) -> int:
@@ -163,7 +157,7 @@ def cmd_run(args) -> int:
 SWEEP_L = 0.2
 
 
-def _sweep_point(alpha: float, N: int, args, seed: int):
+def _sweep_point(alpha: float, N: int, args):
     """One 1D curvature benchmark: fixed l, f'' = 2*m*alpha/l so (l/2m)f'' = alpha.
 
     The outcome distribution depends on (alpha, N) only, so the fixed width is
@@ -172,45 +166,37 @@ def _sweep_point(alpha: float, N: int, args, seed: int):
     """
     spec = ProblemSpec(d=1, N=N, n_o=args.n_o, l=SWEEP_L, m=args.m)
     f = quadratic([0.0], [[2.0 * args.m * alpha / SWEEP_L]], c=0.0)
-    report = run_gradient_estimation(f, spec, shots=0, seed=seed)
+    report = run_gradient_estimation(f, spec, shots=0)
     sigma_pred = alpha * N / math.sqrt(3.0)
     sigma_meas = float(report.sigma_k_measured[0])
     return sigma_pred, sigma_meas
 
 
-def _run_sweep(points, args):
-    seeds = [_point_seed(args.seed, i) for i in range(len(points))]
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        return list(pool.map(lambda t: _sweep_point(t[0][0], t[0][1], args, t[1]),
-                             zip(points, seeds)))
+def _write_sweep(args, column: str, points) -> int:
+    """One CSV row per (value, alpha, N) point; `column` names the swept value.
+
+    Sweeps run with shots=0, so no random stream is drawn; --seed only enters
+    the config header.
+    """
+    rows = [[value, *_sweep_point(alpha, N, args)] for value, alpha, N in points]
+    comments = [
+        _config_comment(args),
+        f"benchmark m={_fmt(args.m)} l={_fmt(SWEEP_L)} fpp=2*m*alpha/l; sigma in lattice units",
+    ]
+    _write_csv(args.out, comments, [column, "sigma_pred", "sigma_meas"], rows)
+    return 0
 
 
 def cmd_sweep_n(args) -> int:
     if not args.N:
         raise ValueError("--N must list at least one lattice size")
-    points = [(args.alpha, N) for N in args.N]
-    results = _run_sweep(points, args)
-    comments = [
-        _config_comment(args),
-        f"benchmark m={_fmt(args.m)} l={_fmt(SWEEP_L)} fpp=2*m*alpha/l; sigma in lattice units",
-    ]
-    rows = [[N, sp, sm] for (_, N), (sp, sm) in zip(points, results)]
-    _write_csv(args.out, comments, ["N", "sigma_pred", "sigma_meas"], rows)
-    return 0
+    return _write_sweep(args, "N", [(N, args.alpha, N) for N in args.N])
 
 
 def cmd_sweep_alpha(args) -> int:
     if not args.alpha:
         raise ValueError("--alpha must list at least one curvature")
-    points = [(alpha, args.N) for alpha in args.alpha]
-    results = _run_sweep(points, args)
-    comments = [
-        _config_comment(args),
-        f"benchmark m={_fmt(args.m)} l={_fmt(SWEEP_L)} fpp=2*m*alpha/l; sigma in lattice units",
-    ]
-    rows = [[alpha, sp, sm] for (alpha, _), (sp, sm) in zip(points, results)]
-    _write_csv(args.out, comments, ["alpha", "sigma_pred", "sigma_meas"], rows)
-    return 0
+    return _write_sweep(args, "alpha", [(alpha, alpha, args.N) for alpha in args.alpha])
 
 
 def cmd_peak2d(args) -> int:
@@ -226,9 +212,7 @@ def cmd_peak2d(args) -> int:
     pred = stationary_phase_sigma(H, spec)
 
     probs = report.distribution.reshaped()
-    ks = signed_index(np.arange(spec.N), spec.N)
-    K1, K2 = np.meshgrid(ks, ks, indexing="ij")
-    signed = np.stack([K1, K2], axis=-1).reshape(-1, 2)
+    signed = signed_index(lattice_points(spec), spec.N)
     inside = support_membership(signed, pred, slack=args.slack_cells)
     inside_outer = support_membership(signed, pred, slack=args.slack_cells_outer)
     flat = probs.reshape(-1)
