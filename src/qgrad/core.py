@@ -19,6 +19,12 @@ import numpy as np
 
 DEFAULT_MAX_POINTS = 2 ** 24
 
+# float64 represents every integer of magnitude below 2**53 exactly.  The
+# scaled oracle value must stay below it for round-to-nearest to be exact, and
+# n_o <= 52 keeps the register value g < N_o, and so the phase g/N_o, exact.
+EXACT_FLOAT_INT = 2.0 ** 53
+MAX_N_O = 52
+
 
 def round_half_up(x) -> np.ndarray:
     """Nearest integer, ties toward +inf (3.5 -> 4, -2.5 -> -2)."""
@@ -36,7 +42,7 @@ class ProblemSpec:
 
     d     number of input registers (gradient components)
     N     lattice points per axis (any integer >= 2, not only powers of two)
-    n_o   output-register bits; the modular ring has N_o = 2**n_o elements
+    n_o   output-register bits, 1..MAX_N_O; the modular ring has N_o = 2**n_o elements
     l     side length of the sampled hypercube centered at x0
     m     width of the interval bounding each gradient component
     x0    evaluation point (defaults to the origin)
@@ -56,8 +62,8 @@ class ProblemSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if self.n_o < 1:
-            raise ValueError(f"n_o must be >= 1, got {self.n_o}")
+        if not 1 <= self.n_o <= MAX_N_O:
+            raise ValueError(f"n_o must lie in [1, {MAX_N_O}], got {self.n_o}")
         if not self.l > 0:
             raise ValueError(f"l must be positive, got {self.l}")
         if not self.m > 0:
@@ -121,9 +127,17 @@ def quantize_output(f_val, spec: ProblemSpec):
     """Fixed-point oracle output: round(N*N_o*f / (m*l)) reduced mod N_o.
 
     The modular wrap models an n_o-bit register written by modular addition;
-    one unit corresponds to a function increment of m*l/(N*N_o).
+    one unit corresponds to a function increment of m*l/(N*N_o).  Scaled
+    values that are not finite or not below 2**53 in magnitude cannot be
+    rounded exactly and raise ValueError.
     """
     scaled = np.asarray(f_val, dtype=float) * (spec.N * spec.N_o) / (spec.m * spec.l)
+    # min/max instead of an elementwise test: no temporary the size of the lattice
+    if not (scaled.min() > -EXACT_FLOAT_INT and scaled.max() < EXACT_FLOAT_INT):
+        raise ValueError(
+            f"N*N_o*f/(m*l) must be finite and below 2**53 in magnitude, got values in "
+            f"[{scaled.min()}, {scaled.max()}]; lower n_o or N, or widen m*l"
+        )
     q = round_half_up(scaled) % spec.N_o
     if np.ndim(f_val) == 0:
         return int(q)

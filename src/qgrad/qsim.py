@@ -223,7 +223,9 @@ class GradientEstimationReport:
 
     success_probability is the mass at the lattice frequency nearest the true
     analytic gradient (ties toward the negative neighbor): the estimator
-    cannot beat lattice resolution, so that outcome is "success".
+    cannot beat lattice resolution, so that outcome is "success".  It is 0.0
+    when a component of the true gradient lies outside [-m/2, m/2): such a
+    gradient aliases onto a wrong decoded value, so no outcome is a success.
     """
 
     spec: ProblemSpec
@@ -262,7 +264,9 @@ def run_gradient_estimation(
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
     true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
-    success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])
+    success_probability = 0.0
+    if _gradient_in_range(true_gradient, spec):
+        success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])
 
     means = np.empty(spec.d)
     variances = np.empty(spec.d)
@@ -302,6 +306,11 @@ def ideal_planewave(gradient, spec: ProblemSpec) -> AmplitudeGrid:
     return AmplitudeGrid(spec, amps)
 
 
+def _gradient_in_range(g: np.ndarray, spec: ProblemSpec) -> bool:
+    """Every component in [-m/2, m/2), the range a measured outcome can decode to."""
+    return bool(np.all(g >= -spec.m / 2.0) and np.all(g < spec.m / 2.0))
+
+
 def ideal_state_fidelity(grid: AmplitudeGrid, true_gradient) -> float:
     """|<ideal|actual>| against the exact planewave for `true_gradient`.
 
@@ -310,7 +319,7 @@ def ideal_state_fidelity(grid: AmplitudeGrid, true_gradient) -> float:
     """
     spec = grid.spec
     g = np.atleast_1d(np.asarray(true_gradient, dtype=float)).reshape(spec.d)
-    if np.any(g < -spec.m / 2.0) or np.any(g >= spec.m / 2.0):
+    if not _gradient_in_range(g, spec):
         raise ValueError(f"true_gradient components must lie in [-m/2, m/2) = [{-spec.m / 2}, {spec.m / 2})")
     ideal = ideal_planewave(g, spec)
     return float(abs(np.vdot(ideal.amps, grid.amps)))

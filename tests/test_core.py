@@ -101,6 +101,31 @@ def test_quantize_modular_linearity():
         assert quantize_output(base + j * step, spec) == (quantize_output(base, spec) + j) % spec.N_o
 
 
+def test_quantize_accepts_widest_register():
+    spec = spec_1d(N=4, n_o=52)
+    step = spec.m * spec.l / (spec.N * spec.N_o)
+    assert quantize_output(-5 * step, spec) == spec.N_o - 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        quantize_output(bad, spec_1d())
+    with pytest.raises(ValueError):
+        quantize_output(np.array([0.0, bad, 0.1]), spec_1d())
+
+
+def test_quantize_rejects_values_beyond_exact_rounding():
+    # N*N_o/(m*l) = 2**50: |f| = 8 scales to exactly 2**53, the first inexact magnitude
+    spec = spec_1d(N=4, n_o=48)
+    assert quantize_output(8.0 - 2.0 ** -45, spec) == spec.N_o - 32  # 2**53 - 32, still exact
+    for f in (8.0, -8.0, 1e20):
+        with pytest.raises(ValueError):
+            quantize_output(f, spec)
+    with pytest.raises(ValueError):
+        quantize_output(np.array([0.0, -9.0]), spec)
+
+
 # --- decode_outcome: signed wrap then m*k'/N ---
 
 def test_decode_zero_frequency():
@@ -162,6 +187,8 @@ def test_nearest_index_tie_goes_negative():
         dict(d=0, N=4, n_o=3, l=1.0, m=1.0),
         dict(d=1, N=1, n_o=3, l=1.0, m=1.0),
         dict(d=1, N=4, n_o=0, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=53, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=63, l=1.0, m=1.0),
         dict(d=1, N=4, n_o=3, l=0.0, m=1.0),
         dict(d=1, N=4, n_o=3, l=1.0, m=-2.0),
     ],

@@ -290,6 +290,15 @@ def test_success_probability_reads_nearest_representable():
     assert report.success_probability > 0.5
 
 
+def test_aliased_gradient_is_never_a_success():
+    # 0.75 lies outside [-m/2, m/2): it aliases onto -0.25, which must not count as success
+    spec = ProblemSpec(d=1, N=8, n_o=12, l=1.0, m=1.0)
+    report = run_gradient_estimation(linear([0.75]), spec, shots=0)
+    assert report.mode_gradient.tolist() == [-0.25]
+    assert report.distribution.probs[report.success_index[0]] == pytest.approx(1.0)
+    assert report.success_probability == 0.0
+
+
 # --- ideal-state fidelity and phase robustness ---
 
 def test_fidelity_of_exact_planewave_is_one():
