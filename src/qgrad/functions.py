@@ -134,7 +134,7 @@ def scanned_range(fn: TestFunction, spec: ProblemSpec, points_per_axis: int | No
 
     With points_per_axis=None the scan covers every lattice point, so the
     bounds are exact for the sampled domain; a coarse scan may miss extrema
-    between scanned points; it needs points_per_axis >= 2.
+    between scanned points.  A coarse scan needs points_per_axis >= 2.
     """
     if points_per_axis is None:
         deltas = lattice_points(spec)

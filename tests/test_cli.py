@@ -190,11 +190,8 @@ def test_validation_failure_exits_2(tmp_path):
                  "--out", str(tmp_path / "y.csv")]) == 2
     # bad hessian length
     assert main(["peak2d", "--hessian", "1,2,3", "--out", str(tmp_path / "z.csv")]) == 2
-
-
-def test_oversized_output_register_exits_2(tmp_path, capsys):
-    assert main(["run", "--n-o", "63", "--shots", "0", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "n_o" in capsys.readouterr().err
+    # output register wider than exact fixed-point arithmetic allows
+    assert main(["run", "--n-o", "63", "--out", str(tmp_path / "w.csv")]) == 2
 
 
 def test_unknown_flag_exits_2():

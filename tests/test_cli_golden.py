@@ -42,7 +42,7 @@ def _csv_sha256(argv, path) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_csv_bytes_match_golden(name, tmp_path, capsys):
+def test_cli_csv_bytes_match_golden(name, tmp_path):
     argv, digest = GOLDEN[name]
     assert _csv_sha256(argv, tmp_path / "out.csv") == digest
 

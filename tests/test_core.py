@@ -187,10 +187,10 @@ def test_nearest_index_tie_goes_negative():
         dict(d=0, N=4, n_o=3, l=1.0, m=1.0),
         dict(d=1, N=1, n_o=3, l=1.0, m=1.0),
         dict(d=1, N=4, n_o=0, l=1.0, m=1.0),
-        dict(d=1, N=4, n_o=53, l=1.0, m=1.0),
-        dict(d=1, N=4, n_o=63, l=1.0, m=1.0),
         dict(d=1, N=4, n_o=3, l=0.0, m=1.0),
         dict(d=1, N=4, n_o=3, l=1.0, m=-2.0),
+        dict(d=1, N=4, n_o=53, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=63, l=1.0, m=1.0),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
