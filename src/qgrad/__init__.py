@@ -12,6 +12,7 @@ from .core import (
     ProblemSpec,
     decode_outcome,
     encode_input,
+    fixed_point,
     lattice_points,
     nearest_lattice_index,
     quantize_output,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ProblemSpec",
     "encode_input",
+    "fixed_point",
     "quantize_output",
     "decode_outcome",
     "signed_index",

@@ -1,9 +1,10 @@
 """Classical finite-difference gradient baselines with query accounting.
 
 Forward differences use d+1 function evaluations, central differences 2d.
-An optional fixed-point quantizer routes every evaluation through the same
-scale and rounding convention as the quantum oracle, to model a blackbox
-that returns f with a finite number of bits.
+An optional fixed-point quantizer models a blackbox that returns f with a
+finite number of bits.  It reads f through `core.fixed_point`, the map whose
+value mod N_o is the quantum oracle register, so both use the same scale and
+rounding convention.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, quantize_output, round_half_up
+from .core import ProblemSpec, fixed_point
 from .functions import TestFunction
 
 
@@ -20,83 +21,67 @@ class ClassicalReport:
     gradient_estimate: np.ndarray
     queries: int
     l_used: float
-    quantized: bool = False
     n_o: int | None = None
+
+    @property
+    def quantized(self) -> bool:
+        return self.n_o is not None
 
 
 @dataclass
 class FixedPointQuantizer:
     """Fixed-point evaluation model: one unit = m*l/(N*N_o) in function value.
 
-    wrap=False keeps the full integer, the natural classical register (the
-    bits needed to cover the range are what the precision formulas count).
-    wrap=True reduces mod N_o exactly like the quantum oracle register and
-    dequantizes to the centered representative; it is only faithful while
-    |f| < m*l/(2N).
+    The register is the unwrapped `core.fixed_point` of `spec`, the natural
+    classical register (the bits needed to cover the range are what the
+    precision formulas count); `core.quantize_output` is the same value mod N_o.
     """
 
-    n_o: int
-    N: int
-    l: float
-    m: float
-    wrap: bool = False
-
-    @classmethod
-    def from_spec(cls, spec: ProblemSpec, wrap: bool = False) -> "FixedPointQuantizer":
-        return cls(n_o=spec.n_o, N=spec.N, l=spec.l, m=spec.m, wrap=wrap)
-
-    @property
-    def N_o(self) -> int:
-        return 2 ** self.n_o
+    spec: ProblemSpec
 
     @property
     def step(self) -> float:
-        return (self.m * self.l) / (self.N * self.N_o)
+        spec = self.spec
+        return (spec.m * spec.l) / (spec.N * spec.N_o)
 
     def quantize(self, value):
-        if self.wrap:
-            spec = ProblemSpec(d=1, N=self.N, n_o=self.n_o, l=self.l, m=self.m)
-            return quantize_output(value, spec)
-        return round_half_up(np.asarray(value, dtype=float) / self.step)
+        return fixed_point(value, self.spec)
 
     def dequantize(self, q):
-        q = np.asarray(q)
-        if self.wrap:
-            q = (q + self.N_o // 2) % self.N_o - self.N_o // 2
-        return q * self.step
+        return np.asarray(q) * self.step
 
     def evaluate(self, f: TestFunction, x) -> float:
         return float(self.dequantize(self.quantize(f.eval(x))))
 
 
-def _evaluator(f: TestFunction, quantizer: FixedPointQuantizer | None):
+def _stencil(f: TestFunction, x, l: float, quantizer: FixedPointQuantizer | None):
+    """Checked step, x as a float vector, and the evaluator every query goes through."""
+    if not l > 0:
+        raise ValueError(f"l must be positive, got {l}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if quantizer is None:
-        return lambda p: float(f.eval(p))
-    return lambda p: quantizer.evaluate(f, p)
+        return x, lambda p: float(f.eval(p))
+    return x, lambda p: quantizer.evaluate(f, p)
+
+
+def _report(grad: np.ndarray, queries: int, l: float,
+            quantizer: FixedPointQuantizer | None) -> ClassicalReport:
+    n_o = None if quantizer is None else quantizer.spec.n_o
+    return ClassicalReport(gradient_estimate=grad, queries=queries, l_used=l, n_o=n_o)
 
 
 def forward_difference(
     f: TestFunction, x, l: float, quantizer: FixedPointQuantizer | None = None
 ) -> ClassicalReport:
     """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries."""
-    if not l > 0:
-        raise ValueError(f"l must be positive, got {l}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    ev = _evaluator(f, quantizer)
+    x, ev = _stencil(f, x, l, quantizer)
     f0 = ev(x)
-    grad = np.empty(d)
-    for i in range(d):
+    grad = np.empty(x.size)
+    for i in range(x.size):
         shifted = x.copy()
         shifted[i] += l
         grad[i] = (ev(shifted) - f0) / l
-    return ClassicalReport(
-        gradient_estimate=grad,
-        queries=d + 1,
-        l_used=l,
-        quantized=quantizer is not None,
-        n_o=quantizer.n_o if quantizer else None,
-    )
+    return _report(grad, x.size + 1, l, quantizer)
 
 
 def central_difference(
@@ -107,24 +92,14 @@ def central_difference(
     Centering the stencil cancels the quadratic terms, leaving an error of
     order l^2 from the cubic ones.
     """
-    if not l > 0:
-        raise ValueError(f"l must be positive, got {l}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    ev = _evaluator(f, quantizer)
-    grad = np.empty(d)
-    for i in range(d):
+    x, ev = _stencil(f, x, l, quantizer)
+    grad = np.empty(x.size)
+    for i in range(x.size):
         hi, lo = x.copy(), x.copy()
         hi[i] += l / 2.0
         lo[i] -= l / 2.0
         grad[i] = (ev(hi) - ev(lo)) / l
-    return ClassicalReport(
-        gradient_estimate=grad,
-        queries=2 * d,
-        l_used=l,
-        quantized=quantizer is not None,
-        n_o=quantizer.n_o if quantizer else None,
-    )
+    return _report(grad, 2 * x.size, l, quantizer)
 
 
 @dataclass

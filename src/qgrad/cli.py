@@ -76,14 +76,20 @@ def _resolve_n(args) -> int:
     return args.N
 
 
+def _per_axis(values: list[float], d: int, flag: str) -> list[float]:
+    """A "1 or d components" option: one component is repeated on every axis."""
+    if len(values) == 1:
+        values = values * d
+    if len(values) != d:
+        raise ValueError(f"{flag} needs 1 or {d} components, got {len(values)}")
+    return values
+
+
 def _spec_from_args(args, d: int | None = None, N: int | None = None) -> ProblemSpec:
     d = d if d is not None else args.d
     N = N if N is not None else _resolve_n(args)
     x0 = getattr(args, "x0", None)
-    if x0 is not None:
-        x0 = x0 * d if len(x0) == 1 else x0
-        if len(x0) != d:
-            raise ValueError(f"--x0 needs 1 or {d} components, got {len(x0)}")
+    x0 = None if x0 is None else _per_axis(x0, d, "--x0")
     return ProblemSpec(d=d, N=N, n_o=args.n_o, l=args.l, m=args.m, x0=x0)
 
 
@@ -91,9 +97,7 @@ def _build_function(args, spec: ProblemSpec):
     name = args.function
     if name not in CATALOG:
         raise ValueError(f"unknown function {name!r}; choose from {sorted(CATALOG)}")
-    grad = np.array(args.gradient * spec.d if len(args.gradient) == 1 else args.gradient)
-    if grad.size != spec.d:
-        raise ValueError(f"--gradient needs 1 or {spec.d} components, got {grad.size}")
+    grad = np.array(_per_axis(args.gradient, spec.d, "--gradient"))
     if name == "linear":
         return linear(grad, c=args.coeff)
     if name == "quadratic":
@@ -115,10 +119,7 @@ def _build_function(args, spec: ProblemSpec):
             raise ValueError("cubic_1d is one-dimensional; use --d 1")
         return cubic_1d(args.a3)
     if name == "sinusoid":
-        wavevector = args.wavevector * spec.d if len(args.wavevector) == 1 else args.wavevector
-        if len(wavevector) != spec.d:
-            raise ValueError(f"--wavevector needs 1 or {spec.d} components")
-        return sinusoid(args.amplitude, wavevector)
+        return sinusoid(args.amplitude, _per_axis(args.wavevector, spec.d, "--wavevector"))
     raise ValueError(f"unknown function {name!r}")
 
 
@@ -282,15 +283,20 @@ def cmd_compare_classical(args) -> int:
 # -- Argument parsing ------------------------------------------------------------
 
 
+def _add_shared(p: argparse.ArgumentParser):
+    """Options every subcommand takes: register bits, gradient bound, seed, output."""
+    p.add_argument("--n-o", type=int, default=16, help="output-register bits")
+    p.add_argument("--m", type=float, default=1.0, help="gradient-bound interval width")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
+
+
 def _add_common(p: argparse.ArgumentParser, l_default: float = 1.0, n_default: int = 128):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--N", type=int, default=n_default, help="lattice points per axis")
     group.add_argument("--n-bits", type=int, default=None, help="input bits per axis (N = 2**n_bits)")
-    p.add_argument("--n-o", type=int, default=16, help="output-register bits")
     p.add_argument("--l", type=float, default=l_default, help="sampled hypercube side length")
-    p.add_argument("--m", type=float, default=1.0, help="gradient-bound interval width")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
+    _add_shared(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_n.add_argument("--alpha", type=float, default=0.02, help="curvature (l/2m)*f''")
     sweep_n.add_argument("--N", type=_int_list, default=[16, 32, 64, 128, 256],
                          help="comma-separated lattice sizes")
-    sweep_n.add_argument("--n-o", type=int, default=16)
-    sweep_n.add_argument("--m", type=float, default=1.0)
-    sweep_n.add_argument("--seed", type=int, default=0)
-    sweep_n.add_argument("--out", default="-")
+    _add_shared(sweep_n)
     sweep_n.set_defaults(handler=cmd_sweep_n)
 
     sweep_a = sub.add_parser("sweep-alpha", help="peak width vs curvature at fixed N")
@@ -329,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[0.005, 0.01, 0.02, 0.03, 0.04, 0.05],
                          help="comma-separated curvatures")
     sweep_a.add_argument("--N", type=int, default=80, help="lattice size")
-    sweep_a.add_argument("--n-o", type=int, default=16)
-    sweep_a.add_argument("--m", type=float, default=1.0)
-    sweep_a.add_argument("--seed", type=int, default=0)
-    sweep_a.add_argument("--out", default="-")
+    _add_shared(sweep_a)
     sweep_a.set_defaults(handler=cmd_sweep_alpha)
 
     peak = sub.add_parser("peak2d", help="2D outcome distribution and predicted region")

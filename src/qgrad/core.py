@@ -1,9 +1,10 @@
 """Problem parameters and fixed-point maps between lattice indices and real values.
 
-Three maps tie the integer lattices to physical quantities:
+These maps tie the integer lattices to physical quantities:
 
     encode_input:    delta in [0,N)^d      ->  sample point x0 + (l/N)(delta - N/2)
-    quantize_output: real function value   ->  round(N*N_o*f / (m*l)) mod N_o
+    fixed_point:     real function value   ->  round(N*N_o*f / (m*l))
+    quantize_output: real function value   ->  fixed_point(f) mod N_o
     decode_outcome:  outcome k in [0,N)^d  ->  gradient m*k'/N, k' = k or k - N
 
 `l` is the side length of the sampled hypercube, `m` the width of the symmetric
@@ -123,22 +124,32 @@ def encode_input(delta, spec: ProblemSpec) -> np.ndarray:
     return spec.x0 + (spec.l / spec.N) * (arr - spec.N / 2.0)
 
 
-def quantize_output(f_val, spec: ProblemSpec):
-    """Fixed-point oracle output: round(N*N_o*f / (m*l)) reduced mod N_o.
+def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
+    """Unwrapped fixed-point register: round(N*N_o*f / (m*l)) as int64.
 
-    The modular wrap models an n_o-bit register written by modular addition;
-    one unit corresponds to a function increment of m*l/(N*N_o).  Scaled
+    One unit corresponds to a function increment of m*l/(N*N_o).  This is the
+    classical register; the oracle register is the same value mod N_o.  Scaled
     values that are not finite or not below 2**53 in magnitude cannot be
     rounded exactly and raise ValueError.
     """
-    scaled = np.asarray(f_val, dtype=float) * (spec.N * spec.N_o) / (spec.m * spec.l)
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(f_val, dtype=float) * (spec.N * spec.N_o) / (spec.m * spec.l)
     # min/max instead of an elementwise test: no temporary the size of the lattice
     if not (scaled.min() > -EXACT_FLOAT_INT and scaled.max() < EXACT_FLOAT_INT):
         raise ValueError(
             f"N*N_o*f/(m*l) must be finite and below 2**53 in magnitude, got values in "
             f"[{scaled.min()}, {scaled.max()}]; lower n_o or N, or widen m*l"
         )
-    q = round_half_up(scaled) % spec.N_o
+    return round_half_up(scaled)
+
+
+def quantize_output(f_val, spec: ProblemSpec):
+    """Fixed-point oracle output: fixed_point(f) reduced mod N_o.
+
+    The modular wrap models an n_o-bit register written by modular addition.
+    Returns an int for scalar input.
+    """
+    q = fixed_point(f_val, spec) % spec.N_o
     if np.ndim(f_val) == 0:
         return int(q)
     return q

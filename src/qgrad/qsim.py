@@ -98,14 +98,14 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation with a per-point fallback for scalar-only callables."""
-    try:
-        values = np.asarray(f.eval(points), dtype=float)
-        if values.shape == points.shape[:-1]:
-            return values
-    except Exception:
-        pass
-    return np.array([float(f.eval(p)) for p in points])
+    """f at every point in one vectorized call; `eval` must map (..., d) to (...)."""
+    values = np.asarray(f.eval(points), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise ValueError(
+            f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
+            f"of shape {values.shape}, expected {points.shape[:-1]}"
+        )
+    return values
 
 
 def _check_declared_range(values: np.ndarray, f: TestFunction):

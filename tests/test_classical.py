@@ -103,23 +103,25 @@ def test_fit_input_validation():
 # --- fixed-point quantized evaluation ---
 
 def test_quantizer_round_trip_step():
-    q = FixedPointQuantizer(n_o=8, N=16, l=1.0, m=1.0)
+    q = FixedPointQuantizer(ProblemSpec(d=1, N=16, n_o=8, l=1.0, m=1.0))
     assert q.step == pytest.approx(1.0 / (16 * 256))
     assert q.dequantize(q.quantize(0.123)) == pytest.approx(0.123, abs=q.step / 2)
 
 
-def test_quantizer_wrap_matches_oracle_register():
-    spec = ProblemSpec(d=1, N=16, n_o=8, l=1.0, m=1.0)
-    q = FixedPointQuantizer.from_spec(spec, wrap=True)
-    # one full period of the register: m*l/N in function value
-    period = spec.m * spec.l / spec.N
-    assert q.quantize(0.01) == q.quantize(0.01 + period)
+def test_quantizer_rejects_values_beyond_exact_rounding():
+    # N*N_o/(m*l) = 2**22: 1e15 scales far past 2**53, where int64 rounding is inexact
+    q = FixedPointQuantizer(ProblemSpec(d=1, N=4, n_o=20, l=1.0, m=1.0))
+    for bad in (1e15, -1e15, np.nan):
+        with pytest.raises(ValueError):
+            q.quantize(bad)
+        with pytest.raises(ValueError):
+            q.evaluate(linear([0.0], c=bad), [0.0])
 
 
 def test_quantized_linear_gradient_error_bound():
     # error per axis <= m/2^n + quantization term, checked on linear functions
     spec = ProblemSpec(d=1, N=64, n_o=10, l=0.25, m=1.0)
-    q = FixedPointQuantizer.from_spec(spec)
+    q = FixedPointQuantizer(spec)
     rng = np.random.default_rng(23)
     for _ in range(30):
         g = float(rng.uniform(-0.5, 0.5))

@@ -1,4 +1,6 @@
 """Tests for problem parameters and the fixed-point encode/quantize/decode maps."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,16 @@ def test_quantize_rejects_values_beyond_exact_rounding():
             quantize_output(f, spec)
     with pytest.raises(ValueError):
         quantize_output(np.array([0.0, -9.0]), spec)
+
+
+def test_quantize_overflow_raises_without_warning():
+    # 1e300 * 2**50 overflows float64; only the ValueError may reach the caller
+    spec = spec_1d(N=4, n_o=48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (1e300, np.array([0.0, -1e300])):
+            with pytest.raises(ValueError):
+                quantize_output(f, spec)
 
 
 # --- decode_outcome: signed wrap then m*k'/N ---

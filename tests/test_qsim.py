@@ -1,4 +1,6 @@
 """Tests for the amplitude-level simulator: phase grids, transforms, sampling, runs."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,15 +92,15 @@ def test_budget_guard():
         ProblemSpec(d=2, N=64, n_o=4, l=1.0, m=1.0, max_points=1000)
 
 
-def test_scalar_only_callable_falls_back():
+def test_non_vectorized_eval_is_rejected():
+    # one oracle query evaluates the whole lattice, so eval must map (n, d) to (n,)
     spec = ProblemSpec(d=1, N=8, n_o=4, l=1.0, m=1.0)
     f = linear([0.25])
-    scalar_f = type(f)(name="scalar", d=1,
-                       eval=lambda x: float(np.asarray(x).reshape(-1)[0] * 0.25),
-                       grad=f.grad, hess=f.hess)
-    a = build_phase_state(scalar_f, spec).amps
-    b = build_phase_state(f, spec).amps
-    assert a == pytest.approx(b)
+    scalar_only = replace(f, name="scalar", eval=lambda x: float(np.asarray(x).reshape(-1)[0] * 0.25))
+    column = replace(f, name="column", eval=lambda x: f.eval(x)[:, None])
+    for bad in (scalar_only, column):
+        with pytest.raises(ValueError, match=bad.name):
+            build_phase_state(bad, spec)
 
 
 # --- fourier_transform / brute_force_transform ---
