@@ -14,6 +14,7 @@ convention can be swapped in one place.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,18 @@ class ProblemSpec:
     max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
+        for name in ("d", "N", "n_o"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if not 1 <= self.n_o <= MAX_N_O:
             raise ValueError(f"n_o must lie in [1, {MAX_N_O}], got {self.n_o}")
-        if not self.l > 0:
-            raise ValueError(f"l must be positive, got {self.l}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not 0 < self.l < np.inf:
+            raise ValueError(f"l must be positive and finite, got {self.l}")
+        if not 0 < self.m < np.inf:
+            raise ValueError(f"m must be positive and finite, got {self.m}")
         if self.N ** self.d > self.max_points:
             raise ValueError(
                 f"lattice size N**d = {self.N}**{self.d} exceeds the budget "
@@ -94,13 +97,24 @@ class ProblemSpec:
         return self.N ** self.d
 
 
-def lattice_points(spec: ProblemSpec) -> np.ndarray:
-    """All lattice index vectors, shape (N**d, d), row-major order.
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; bools, floats and other non-integers raise ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
-    The one enumeration of [0,N)^d: row i equals np.unravel_index(i, spec.shape).
+
+def lattice_points(spec: ProblemSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Lattice index vectors of rows [start, stop), shape (stop - start, d).
+
+    The one enumeration of [0,N)^d, in row-major order: row i equals
+    np.unravel_index(i, spec.shape).  The default range is the whole lattice.
     """
-    axes = [np.arange(spec.N)] * spec.d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
+    rows = np.arange(start, spec.size if stop is None else stop)
+    return np.stack(np.unravel_index(rows, spec.shape), axis=-1)
 
 
 def _index_array(values, spec: ProblemSpec, what: str) -> np.ndarray:

@@ -19,6 +19,11 @@ from .core import ProblemSpec, encode_input, lattice_points
 class TestFunction:
     """A real scalar function of d reals with analytic derivative callbacks.
 
+    `eval` must be vectorized, mapping points of shape (..., d) to values of
+    shape (...), and each value must depend only on its own point: the phase
+    grid is built by calling it on row-major blocks of at most
+    `qsim.BLOCK_POINTS` lattice points.
+
     f_min/f_max, when set, bound the values over the sampled domain and are
     checked while building the phase grid.
     """

@@ -8,6 +8,8 @@ exp(i*2*pi*g(delta)/N_o).  For integer-valued oracles this phase action is
 exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
+The simulation evaluates that one query in row-major blocks of lattice points,
+so the state is the only lattice-sized array of the build.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -31,6 +33,11 @@ from .core import (
 from .functions import TestFunction
 
 BRUTE_FORCE_MAX_POINTS = 4096
+
+# Lattice points per block of the phase-grid build.  The block temporaries
+# (indices, sample points, values, register) take O(BLOCK_POINTS * d) bytes
+# whatever the lattice size.
+BLOCK_POINTS = 2 ** 16
 
 
 def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
@@ -86,19 +93,38 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     amplitude(delta) = N^(-d/2) * exp(i*2*pi*g(delta)/N_o) with
     g(delta) = quantize_output(f(encode_input(delta))).  Every lattice
     evaluation belongs to the single superposed query, so query_count = 1.
+
+    The state is filled in consecutive row-major blocks of at most
+    BLOCK_POINTS points: `f.eval` is called once per block, must be
+    vectorized, and must give each point's value from that point alone, not
+    from the rest of the batch.  The declared f_min/f_max and the 2**53
+    limit of `fixed_point` are checked block by block, and an error reports
+    the offending block's min and max.  When N_o < N^d the phases are looked
+    up in a table of the N_o register values; the table holds the same
+    expression, so both ways give the same amplitudes to the bit.  The
+    state, 16 bytes per point, is the only lattice-sized array built.
     """
-    deltas = lattice_points(spec)
-    x = encode_input(deltas, spec)
-    values = _evaluate(f, x)
-    if f.f_min is not None or f.f_max is not None:
-        _check_declared_range(values, f)
-    g = quantize_output(values, spec)
-    amps = np.exp(2j * np.pi * g / spec.N_o) / spec.N ** (spec.d / 2.0)
+    amps = np.empty(spec.size, dtype=complex)
+    scale = spec.N ** (spec.d / 2.0)
+    table = None
+    if spec.N_o < spec.size:
+        table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
+    check_range = f.f_min is not None or f.f_max is not None
+    for start in range(0, spec.size, BLOCK_POINTS):
+        stop = min(start + BLOCK_POINTS, spec.size)
+        values = _evaluate(f, encode_input(lattice_points(spec, start, stop), spec))
+        if check_range:
+            _check_declared_range(values, f)
+        g = quantize_output(values, spec)
+        if table is None:
+            amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
+        else:
+            np.take(table, g, out=amps[start:stop])
     return AmplitudeGrid(spec, amps, query_count=1)
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
-    """f at every point in one vectorized call; `eval` must map (..., d) to (...)."""
+    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
     values = np.asarray(f.eval(points), dtype=float)
     if values.shape != points.shape[:-1]:
         raise ValueError(
@@ -127,10 +153,15 @@ def fourier_transform(grid: AmplitudeGrid, direction: str = "forward") -> Amplit
     spec = grid.spec
     a = grid.reshaped()
     scale = spec.N ** (spec.d / 2.0)
+    # one output array, written by every axis pass and scaled in place; the
+    # input grid is left unchanged
+    out = np.empty(spec.shape, dtype=complex)
     if direction == "forward":
-        out = np.fft.fftn(a) / scale
+        np.fft.fftn(a, out=out)
+        out /= scale
     elif direction == "inverse":
-        out = np.fft.ifftn(a) * scale
+        np.fft.ifftn(a, out=out)
+        out *= scale
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     return replace(grid, amps=out.reshape(-1))
@@ -162,7 +193,9 @@ def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> Am
 
 def outcome_distribution(grid: AmplitudeGrid) -> OutcomeDistribution:
     """Computational-basis measurement probabilities |amps|^2 (no renormalizing)."""
-    return OutcomeDistribution(grid.spec, np.abs(grid.amps) ** 2)
+    p = np.abs(grid.amps)
+    np.square(p, out=p)
+    return OutcomeDistribution(grid.spec, p)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
@@ -256,9 +289,13 @@ def run_gradient_estimation(
 
     shots = 0 skips sampling and reports distribution-level quantities only.
     """
-    grid = build_phase_state(f, spec)
-    transformed = fourier_transform(grid, "forward")
+    # each state is released as soon as the next stage has read it: the
+    # pre-FFT grid when the transform returns, the transformed one before
+    # sampling, so a run holds at most two lattice-sized complex arrays
+    transformed = fourier_transform(build_phase_state(f, spec), "forward")
+    query_count = transformed.query_count
     dist = outcome_distribution(transformed)
+    del transformed
 
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
@@ -288,7 +325,7 @@ def run_gradient_estimation(
         samples=draws,
         circular_mean_k=means,
         circular_variance_k=variances,
-        query_count=grid.query_count,
+        query_count=query_count,
     )
 
 

@@ -203,6 +203,16 @@ def test_nearest_index_tie_goes_negative():
         dict(d=1, N=4, n_o=3, l=1.0, m=-2.0),
         dict(d=1, N=4, n_o=53, l=1.0, m=1.0),
         dict(d=1, N=4, n_o=63, l=1.0, m=1.0),
+        dict(d=1, N=8.0, n_o=3, l=1.0, m=1.0),
+        dict(d=2.0, N=4, n_o=3, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=8.0, l=1.0, m=1.0),
+        dict(d=True, N=4, n_o=3, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=True, l=1.0, m=1.0),
+        dict(d=1, N="4", n_o=3, l=1.0, m=1.0),
+        dict(d=1, N=4, n_o=3, l=float("inf"), m=1.0),
+        dict(d=1, N=4, n_o=3, l=float("nan"), m=1.0),
+        dict(d=1, N=4, n_o=3, l=1.0, m=float("inf")),
+        dict(d=1, N=4, n_o=3, l=1.0, m=float("nan")),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
@@ -228,3 +238,7 @@ def test_spec_derived_quantities():
     assert spec.N_o == 16
     assert spec.shape == (6, 6)
     assert spec.size == 36
+    # numpy integers are stored as Python ints
+    spec = ProblemSpec(d=np.int64(2), N=np.int32(6), n_o=np.uint8(4), l=1.0, m=1.0)
+    assert [type(v) for v in (spec.d, spec.N, spec.n_o)] == [int, int, int]
+    assert spec.N_o == 16 and spec.size == 36

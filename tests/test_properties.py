@@ -41,6 +41,14 @@ def test_lattice_points_rows_are_row_major_indices(spec):
 
 
 @FAST
+@given(lattices(), st.data())
+def test_lattice_point_rows_are_slices_of_the_lattice(spec, data):
+    a = data.draw(st.integers(0, spec.size))
+    b = data.draw(st.integers(a, spec.size))
+    assert np.array_equal(lattice_points(spec, a, b), lattice_points(spec)[a:b])
+
+
+@FAST
 @given(lattices(max_d=2, max_N=40), st.data())
 def test_integer_planewave_is_a_deterministic_outcome(spec, data):
     nu = np.array(data.draw(st.lists(st.integers(-100, 100), min_size=spec.d, max_size=spec.d)))

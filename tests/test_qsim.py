@@ -1,4 +1,7 @@
 """Tests for the amplitude-level simulator: phase grids, transforms, sampling, runs."""
+import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,14 +19,19 @@ from qgrad import (
     fourier_transform,
     ideal_planewave,
     ideal_state_fidelity,
+    lattice_points,
     linear,
     outcome_distribution,
+    qsim,
     quadratic,
+    quantize_output,
     run_gradient_estimation,
     sample,
+    sinusoid,
     with_scanned_range,
     wrap_signed,
 )
+from qgrad.qsim import BLOCK_POINTS
 
 
 def lattice(d, N):
@@ -103,6 +111,83 @@ def test_non_vectorized_eval_is_rejected():
             build_phase_state(bad, spec)
 
 
+# several blocks with a partial tail; (table path, direct exp path) at d=1 and d>=2
+STREAMED_CASES = [
+    (ProblemSpec(d=1, N=2 * BLOCK_POINTS + 100, n_o=8, l=1.0, m=1.0), quadratic([0.1], [[0.4]])),
+    (ProblemSpec(d=1, N=2 * BLOCK_POINTS + 100, n_o=18, l=1.0, m=1.0), quadratic([0.1], [[0.4]])),
+    (ProblemSpec(d=2, N=300, n_o=10, l=1.0, m=1.0), sinusoid(0.5, [1.0, 2.0])),
+    (ProblemSpec(d=2, N=300, n_o=17, l=1.0, m=1.0, x0=[0.1, -0.2]),
+     quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]])),
+    (ProblemSpec(d=3, N=50, n_o=8, l=0.5, m=1.0), quadratic([0.1, 0.0, 0.2], np.diag([0.1, 0.2, -0.1]))),
+]
+
+
+@pytest.mark.parametrize("spec,f", STREAMED_CASES)
+def test_streamed_build_matches_one_shot_formula(spec, f):
+    assert spec.size > BLOCK_POINTS and spec.size % BLOCK_POINTS != 0
+    g = quantize_output(f.eval(encode_input(lattice_points(spec), spec)), spec)
+    expected = np.exp(2j * np.pi * g / spec.N_o) / spec.N ** (spec.d / 2.0)
+    assert np.array_equal(build_phase_state(f, spec).amps, expected)
+
+
+def test_streamed_build_takes_both_phase_paths():
+    assert {spec.N_o < spec.size for spec, _ in STREAMED_CASES} == {True, False}
+
+
+def _spike_at_last_point(spec, height):
+    """f = 0 everywhere except `height` at the last lattice point, inside the last block."""
+    edge = encode_input([spec.N - 1], spec)[0]
+    return replace(linear([0.0]), name="spike", eval=lambda x: np.where(x[..., 0] >= edge, height, 0.0))
+
+
+def test_range_violations_in_the_last_block_raise():
+    spec = ProblemSpec(d=1, N=2 * BLOCK_POINTS + 3, n_o=8, l=1.0, m=1.0)
+    declared = replace(_spike_at_last_point(spec, 1.0), f_min=0.0, f_max=0.5)
+    with pytest.raises(ValueError, match="above declared f_max"):
+        build_phase_state(declared, spec)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        build_phase_state(_spike_at_last_point(spec, 1e30), spec)
+
+
+def test_build_calls_each_stage_once_per_block(monkeypatch):
+    # perfbench's per-layer tracing wraps these qsim globals; the build must look them up
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("lattice_points", "encode_input", "quantize_output"):
+        monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
+    spec, f = STREAMED_CASES[2]
+    f = replace(f, eval=counted("eval", f.eval))
+    assert build_phase_state(f, spec).query_count == 1
+    blocks = math.ceil(spec.N ** spec.d / BLOCK_POINTS)
+    assert calls == {name: blocks for name in ("lattice_points", "encode_input", "quantize_output", "eval")}
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc peak of call() above the bytes allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_o", [16, 24])  # phase table, direct exp
+def test_state_memory_per_point(n_o):
+    spec = ProblemSpec(d=2, N=1024, n_o=n_o, l=1.0, m=1.0)
+    f = quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]])
+    slack = 8 * 2 ** 20
+    assert _traced_peak(lambda: build_phase_state(f, spec)) <= 16 * spec.size + slack
+    assert _traced_peak(lambda: run_gradient_estimation(f, spec, shots=1000)) <= 32 * spec.size + slack
+
+
 # --- fourier_transform / brute_force_transform ---
 
 def test_impulse_transforms_to_uniform_magnitudes():
@@ -121,8 +206,10 @@ def test_integer_planewave_maps_to_deterministic_outcome():
 
 def test_forward_then_inverse_is_identity():
     grid = random_grid(6, 2, seed=3)
+    before = grid.amps.copy()
     back = fourier_transform(fourier_transform(grid, "forward"), "inverse")
     assert np.max(np.abs(back.amps - grid.amps)) < 1e-10
+    assert np.array_equal(grid.amps, before)  # the transform leaves its input unchanged
 
 
 @pytest.mark.parametrize("N,d", [(4, 1), (6, 2), (16, 1), (5, 2)])
