@@ -18,6 +18,7 @@ outcome k = nu mod N.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,9 +83,16 @@ class OutcomeDistribution:
         return self.probs.reshape(self.spec.shape)
 
     def marginal(self, axis: int) -> np.ndarray:
-        """Marginal probability over a single axis, shape (N,)."""
+        """Marginal probability over a single axis, shape (N,).
+
+        For d = 1 this is a read-only view of `probs`, not a copy.
+        """
         other = tuple(i for i in range(self.spec.d) if i != axis)
-        return self.reshaped().sum(axis=other) if other else self.probs.copy()
+        if other:
+            return self.reshaped().sum(axis=other)
+        view = self.probs.view()
+        view.flags.writeable = False
+        return view
 
 
 def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
@@ -223,28 +231,73 @@ def wrap_signed(delta_k, N: int) -> np.ndarray:
     return (np.asarray(delta_k, dtype=float) + N / 2.0) % N - N / 2.0
 
 
+def _weights(probs, N: int) -> tuple[np.ndarray, float]:
+    """The weights as float64 (a view when they already are) and their sum."""
+    w = np.asarray(probs, dtype=float)
+    if N < 1 or w.shape != (N,):
+        raise ValueError(f"weights have shape {w.shape}, expected ({N},) with N >= 1")
+    return w, float(w.sum())
+
+
+def _resultant(w: np.ndarray, N: int) -> complex:
+    """sum_k w_k exp(2*pi*i*k/N) from B + R roots of unity instead of N.
+
+    With k = r*B + j (B = isqrt(N), R = N // B) the root factors into an outer
+    root of r*B and an inner root of j.  The first R*B weights, viewed as an
+    (R, B) matrix, meet the inner cos and sin rows in one real contraction; the
+    N - R*B < B weights of the tail take their roots directly.
+
+    No step calls BLAS: a threaded BLAS call leaves its worker thread spinning
+    for a short while after it returns, and on a 2-core machine the allocating
+    numpy calls that followed it (sampling, in a run) ran up to twice as slow.
+    """
+    B = math.isqrt(N)
+    R = N // B
+    ang = 2.0 * np.pi * np.arange(B) / N
+    rows = np.einsum("rj,cj->rc", w[: R * B].reshape(R, B), np.vstack((np.cos(ang), np.sin(ang))))
+    outer = np.exp(2j * np.pi * B * np.arange(R) / N)
+    tail = np.exp(2j * np.pi * np.arange(R * B, N) / N)
+    return complex(np.sum(outer * (rows[:, 0] + 1j * rows[:, 1])) + np.sum(w[R * B:] * tail))
+
+
 def circular_mean(probs, N: int) -> float:
     """Mean lattice position of a weight vector over [0, N), via the resultant.
 
     Undefined (returns 0.0) when the resultant vanishes, e.g. for the uniform
-    distribution.
+    distribution.  Takes O(N) additions and O(sqrt(N)) transcendental calls,
+    and allocates nothing of length N.
     """
-    w = np.asarray(probs, dtype=float)
-    w = w / w.sum()
-    ang = 2.0 * np.pi * np.arange(N) / N
-    z = np.sum(w * np.exp(1j * ang))
+    w, total = _weights(probs, N)
+    z = _resultant(w, N) / total
     if abs(z) < 1e-15:
         return 0.0
-    return float((N / (2.0 * np.pi)) * np.angle(z) % N)
+    mean = (N / (2.0 * np.pi)) * np.angle(z) % N
+    # a tiny negative angle wraps to exactly N, which is the position 0
+    return 0.0 if mean == N else float(mean)
 
 
 def circular_variance(probs, N: int, mean: float | None = None) -> float:
-    """Wrapped second moment (k^2 units) about the circular mean."""
-    w = np.asarray(probs, dtype=float)
-    w = w / w.sum()
+    """Wrapped second moment (k^2 units) about the circular mean.
+
+    The deviations are wrap_signed(k - mean, N), computed in one array of
+    length N.
+    """
+    w, total = _weights(probs, N)
     mu = circular_mean(w, N) if mean is None else mean
-    dev = wrap_signed(np.arange(N) - mu, N)
-    return float(np.sum(w * dev ** 2))
+    x = np.arange(N, dtype=float)
+    x -= mu
+    x += N / 2.0
+    if -N < x[0] and x[-1] < 2 * N:
+        # x is sorted, so x % N adds N to its negative head and takes N from
+        # its tail at or above N: the same values np.remainder gives
+        head, tail = np.searchsorted(x, (0.0, N))
+        x[:head] += N
+        x[tail:] -= N
+    else:
+        np.remainder(x, N, out=x)
+    x -= N / 2.0
+    np.square(x, out=x)
+    return float(np.einsum("k,k->", w, x)) / total  # a dot product without BLAS
 
 
 # -- End-to-end run -----------------------------------------------------------

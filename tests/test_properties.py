@@ -11,6 +11,8 @@ from qgrad import (
     OutcomeDistribution,
     ProblemSpec,
     apply_phase_error,
+    circular_mean,
+    circular_variance,
     decode_outcome,
     fixed_point,
     fourier_transform,
@@ -19,6 +21,7 @@ from qgrad import (
     lattice_points,
     nearest_lattice_index,
     quantize_output,
+    wrap_signed,
 )
 
 FAST = settings(max_examples=50, deadline=None)
@@ -141,3 +144,77 @@ def test_bounded_phase_noise_keeps_fidelity_above_cos_theta(spec, theta, seed):
     eps = rng.uniform(-theta, theta, size=spec.size)
     noisy = apply_phase_error(ideal_planewave(g, spec), eps)
     assert ideal_state_fidelity(noisy, g) ** 2 >= np.cos(theta) ** 2 - 1e-12
+
+
+# -- Circular statistics against the direct formulas ---------------------------
+
+
+def direct_circular_mean(w, N):
+    """Reference: the resultant from N complex roots, over normalized weights."""
+    w = np.asarray(w, dtype=float) / np.sum(w)
+    z = np.sum(w * np.exp(1j * (2.0 * np.pi * np.arange(N) / N)))
+    return 0.0 if abs(z) < 1e-15 else float((N / (2.0 * np.pi)) * np.angle(z) % N)
+
+
+def direct_circular_variance(w, N, mean):
+    w = np.asarray(w, dtype=float) / np.sum(w)
+    return float(np.sum(w * wrap_signed(np.arange(N) - mean, N) ** 2))
+
+
+def assert_means_agree(mean, expected, N):
+    assert 0.0 <= mean < N
+    assert abs(wrap_signed(mean - expected, N)) <= 1e-12 * N
+
+
+# primes, squares and non-squares whose tail N - R*B (B = isqrt(N), R = N // B)
+# is empty (24, 2024, 4095, 4096), short (257, 4099) or B - 1 long (4031)
+ODD_SIZES = [2, 3, 5, 7, 13, 97, 257, 1021, 4093, 4099, 4999, 24, 1000, 2024, 4031, 4095, 4096]
+
+
+@st.composite
+def weight_vectors(draw):
+    N = draw(st.one_of(st.integers(2, 5000), st.sampled_from(ODD_SIZES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "point", "straddle"]))
+    if kind == "random":
+        w = rng.random(N) ** draw(st.sampled_from([1, 4, 16]))
+    elif kind == "point":
+        w = np.zeros(N)
+        w[draw(st.integers(0, N - 1))] = draw(st.floats(1e-3, 1e3))
+    else:
+        # a peak centred within half a cell of the wrap, so it sits on both ends
+        centre = draw(st.floats(-0.5, 0.5))
+        width = draw(st.floats(0.3, max(0.3, N / 8)))
+        w = np.exp(-0.5 * (wrap_signed(np.arange(N) - centre, N) / width) ** 2)
+    return N, w
+
+
+@FAST
+@given(weight_vectors())
+def test_circular_stats_match_the_direct_formulas(case):
+    N, w = case
+    mean = circular_mean(w, N)
+    assert_means_agree(mean, direct_circular_mean(w, N), N)
+    expected = direct_circular_variance(w, N, direct_circular_mean(w, N))
+    assert circular_variance(w, N) == pytest.approx(expected, rel=1e-12, abs=(1e-12 * N) ** 2)
+
+
+@FAST
+@given(weight_vectors(), st.floats(-3.0, 3.0))
+def test_circular_variance_about_any_given_mean(case, frac):
+    # a given mean need not lie in [0, N): any mean gives the direct formula's value
+    N, w = case
+    mean = frac * N
+    expected = direct_circular_variance(w, N, mean)
+    assert circular_variance(w, N, mean=mean) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 400))
+def test_point_mass_at_every_k(N):
+    for k in range(N):
+        w = np.zeros(N)
+        w[k] = 1.0
+        mean = circular_mean(w, N)
+        assert_means_agree(mean, k, N)
+        assert circular_variance(w, N, mean=mean) <= (1e-12 * N) ** 2

@@ -179,13 +179,33 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n_o", [16, 24])  # phase table, direct exp
-def test_state_memory_per_point(n_o):
-    spec = ProblemSpec(d=2, N=1024, n_o=n_o, l=1.0, m=1.0)
-    f = quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]])
+MEMORY_CASES = [
+    pytest.param(ProblemSpec(d=2, N=1024, n_o=16, l=1.0, m=1.0),
+                 quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]]), id="16"),  # phase table
+    pytest.param(ProblemSpec(d=2, N=1024, n_o=24, l=1.0, m=1.0),
+                 quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]]), id="24"),  # direct exp
+    pytest.param(ProblemSpec(d=1, N=2 ** 20, n_o=16, l=1.0, m=1.0),
+                 quadratic([0.1], [[0.002]]), id="d1"),  # circular statistics over the whole state
+]
+
+
+@pytest.mark.parametrize("spec,f", MEMORY_CASES)
+def test_state_memory_per_point(spec, f):
     slack = 8 * 2 ** 20
     assert _traced_peak(lambda: build_phase_state(f, spec)) <= 16 * spec.size + slack
     assert _traced_peak(lambda: run_gradient_estimation(f, spec, shots=1000)) <= 32 * spec.size + slack
+
+
+def test_1d_circular_statistics_read_the_distribution_in_place():
+    spec, f = MEMORY_CASES[2].values
+    dist = outcome_distribution(fourier_transform(build_phase_state(f, spec)))
+    marginal = dist.marginal(0)
+    assert not marginal.flags.writeable and np.shares_memory(marginal, dist.probs)
+
+    def stats():
+        m = dist.marginal(0)
+        circular_variance(m, spec.N, mean=circular_mean(m, spec.N))
+    assert _traced_peak(stats) <= 8 * spec.size + 2 ** 20
 
 
 # --- fourier_transform / brute_force_transform ---
@@ -304,6 +324,21 @@ def test_circular_stats_point_mass():
     probs[5] = 1.0
     assert circular_mean(probs, 16) == pytest.approx(5.0)
     assert circular_variance(probs, 16) == pytest.approx(0.0, abs=1e-20)
+
+
+def test_circular_mean_never_returns_N():
+    # the resultant's angle is a tiny negative number, which % N rounds to N
+    probs = np.zeros(16)
+    probs[0], probs[15] = 1.0, 1e-18
+    assert circular_mean(probs, 16) == 0.0
+    assert circular_variance(probs, 16) == pytest.approx(1e-18)
+
+
+def test_circular_stats_reject_weights_of_the_wrong_length():
+    for stat in (circular_mean, circular_variance):
+        for w, N in ((np.ones(15), 16), (np.ones((4, 4)), 16), (np.ones(0), 0)):
+            with pytest.raises(ValueError, match="expected"):
+                stat(w, N)
 
 
 def test_circular_stats_straddle_the_wrap():
