@@ -236,7 +236,10 @@ def _weights(probs, N: int) -> tuple[np.ndarray, float]:
     w = np.asarray(probs, dtype=float)
     if N < 1 or w.shape != (N,):
         raise ValueError(f"weights have shape {w.shape}, expected ({N},) with N >= 1")
-    return w, float(w.sum())
+    total = float(w.sum())
+    if not (np.isfinite(total) and total != 0.0):
+        raise ValueError(f"weights sum to {total}, expected a finite nonzero sum")
+    return w, total
 
 
 def _resultant(w: np.ndarray, N: int) -> complex:
@@ -287,14 +290,14 @@ def circular_variance(probs, N: int, mean: float | None = None) -> float:
     x = np.arange(N, dtype=float)
     x -= mu
     x += N / 2.0
-    if -N < x[0] and x[-1] < 2 * N:
-        # x is sorted, so x % N adds N to its negative head and takes N from
-        # its tail at or above N: the same values np.remainder gives
-        head, tail = np.searchsorted(x, (0.0, N))
-        x[:head] += N
-        x[tail:] -= N
-    else:
-        np.remainder(x, N, out=x)
+    # while |mean| + 2N < 2**52, x is sorted and spans less than N, so x mod N
+    # is x - j*N on a head and x - (j + 1)*N on the rest, j = floor(x[0] / N)
+    # (a float over an integer never rounds onto an integer it is not): the
+    # values np.remainder gives, from two cheap slices instead of a modulo
+    j = np.floor(x[0] / N)
+    split = np.searchsorted(x, (j + 1) * N)
+    x[:split] -= j * N
+    x[split:] -= (j + 1) * N
     x -= N / 2.0
     np.square(x, out=x)
     return float(np.einsum("k,k->", w, x)) / total  # a dot product without BLAS

@@ -334,9 +334,17 @@ def test_circular_mean_never_returns_N():
     assert circular_variance(probs, 16) == pytest.approx(1e-18)
 
 
-def test_circular_stats_reject_weights_of_the_wrong_length():
+def test_circular_stats_reject_unusable_weights():
+    # the wrong shape, or a sum that cannot normalize them
+    signed = np.tile([1.0, -1.0], 8)
+    with_inf = np.ones(16)
+    with_inf[3] = np.inf
+    with_nan = np.ones(16)
+    with_nan[3] = np.nan
+    cases = ((np.ones(15), 16), (np.ones((4, 4)), 16), (np.ones(0), 0),
+             (np.zeros(16), 16), (signed, 16), (with_inf, 16), (with_nan, 16))
     for stat in (circular_mean, circular_variance):
-        for w, N in ((np.ones(15), 16), (np.ones((4, 4)), 16), (np.ones(0), 0)):
+        for w, N in cases:
             with pytest.raises(ValueError, match="expected"):
                 stat(w, N)
 
