@@ -16,7 +16,6 @@ from .core import (
     lattice_points,
     nearest_lattice_index,
     quantize_output,
-    round_half_down,
     round_half_up,
     signed_index,
 )
@@ -28,14 +27,12 @@ from .functions import (
     quadratic,
     scanned_range,
     sinusoid,
-    with_scanned_range,
 )
 from .qsim import (
     AmplitudeGrid,
     GradientEstimationReport,
     OutcomeDistribution,
     apply_phase_error,
-    brute_force_transform,
     build_phase_state,
     circular_mean,
     circular_variance,
@@ -49,7 +46,6 @@ from .qsim import (
 )
 from .classical import (
     ClassicalReport,
-    FixedPointQuantizer,
     ScalingFit,
     central_difference,
     error_scaling_fit,
@@ -76,7 +72,6 @@ __all__ = [
     "signed_index",
     "nearest_lattice_index",
     "round_half_up",
-    "round_half_down",
     "TestFunction",
     "CATALOG",
     "linear",
@@ -84,14 +79,12 @@ __all__ = [
     "cubic_1d",
     "sinusoid",
     "scanned_range",
-    "with_scanned_range",
     "AmplitudeGrid",
     "OutcomeDistribution",
     "GradientEstimationReport",
     "lattice_points",
     "build_phase_state",
     "fourier_transform",
-    "brute_force_transform",
     "outcome_distribution",
     "sample",
     "run_gradient_estimation",
@@ -102,7 +95,6 @@ __all__ = [
     "circular_variance",
     "wrap_signed",
     "ClassicalReport",
-    "FixedPointQuantizer",
     "ScalingFit",
     "forward_difference",
     "central_difference",

@@ -1,8 +1,8 @@
 """Classical finite-difference gradient baselines with query accounting.
 
 Forward differences use d+1 function evaluations, central differences 2d.
-An optional fixed-point quantizer models a blackbox that returns f with a
-finite number of bits.  It reads f through `core.fixed_point`, the map whose
+Passing `spec=` models a blackbox that returns f with a finite number of bits:
+every query reads f through `core.fixed_point` of that spec, the map whose
 value mod N_o is the quantum oracle register, so both use the same scale and
 rounding convention.
 """
@@ -23,83 +23,53 @@ class ClassicalReport:
     l_used: float
     n_o: int | None = None
 
-    @property
-    def quantized(self) -> bool:
-        return self.n_o is not None
 
-
-@dataclass
-class FixedPointQuantizer:
-    """Fixed-point evaluation model: one unit = m*l/(N*N_o) in function value.
-
-    The register is the unwrapped `core.fixed_point` of `spec`, the natural
-    classical register (the bits needed to cover the range are what the
-    precision formulas count); `core.quantize_output` is the same value mod N_o.
-    """
-
-    spec: ProblemSpec
-
-    @property
-    def step(self) -> float:
-        spec = self.spec
-        return (spec.m * spec.l) / (spec.N * spec.N_o)
-
-    def quantize(self, value):
-        return fixed_point(value, self.spec)
-
-    def dequantize(self, q):
-        return np.asarray(q) * self.step
-
-    def evaluate(self, f: TestFunction, x) -> float:
-        return float(self.dequantize(self.quantize(f.eval(x))))
-
-
-def _stencil(f: TestFunction, x, l: float, quantizer: FixedPointQuantizer | None):
+def _stencil(f: TestFunction, x, l: float, spec: ProblemSpec | None):
     """Checked step, x as a float vector, and the evaluator every query goes through."""
     if not l > 0:
         raise ValueError(f"l must be positive, got {l}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if quantizer is None:
+    if spec is None:
         return x, lambda p: float(f.eval(p))
-    return x, lambda p: quantizer.evaluate(f, p)
+    step = (spec.m * spec.l) / (spec.N * spec.N_o)
+    return x, lambda p: float(fixed_point(f.eval(p), spec) * step)
 
 
-def _report(grad: np.ndarray, queries: int, l: float,
-            quantizer: FixedPointQuantizer | None) -> ClassicalReport:
-    n_o = None if quantizer is None else quantizer.spec.n_o
+def _report(grad: np.ndarray, queries: int, l: float, spec: ProblemSpec | None) -> ClassicalReport:
+    n_o = None if spec is None else spec.n_o
     return ClassicalReport(gradient_estimate=grad, queries=queries, l_used=l, n_o=n_o)
 
 
 def forward_difference(
-    f: TestFunction, x, l: float, quantizer: FixedPointQuantizer | None = None
+    f: TestFunction, x, l: float, spec: ProblemSpec | None = None
 ) -> ClassicalReport:
     """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries."""
-    x, ev = _stencil(f, x, l, quantizer)
+    x, ev = _stencil(f, x, l, spec)
     f0 = ev(x)
     grad = np.empty(x.size)
     for i in range(x.size):
         shifted = x.copy()
         shifted[i] += l
         grad[i] = (ev(shifted) - f0) / l
-    return _report(grad, x.size + 1, l, quantizer)
+    return _report(grad, x.size + 1, l, spec)
 
 
 def central_difference(
-    f: TestFunction, x, l: float, quantizer: FixedPointQuantizer | None = None
+    f: TestFunction, x, l: float, spec: ProblemSpec | None = None
 ) -> ClassicalReport:
     """g_i = (f(x + (l/2)e_i) - f(x - (l/2)e_i)) / l, using 2d queries.
 
     Centering the stencil cancels the quadratic terms, leaving an error of
     order l^2 from the cubic ones.
     """
-    x, ev = _stencil(f, x, l, quantizer)
+    x, ev = _stencil(f, x, l, spec)
     grad = np.empty(x.size)
     for i in range(x.size):
         hi, lo = x.copy(), x.copy()
         hi[i] += l / 2.0
         lo[i] -= l / 2.0
         grad[i] = (ev(hi) - ev(lo)) / l
-    return _report(grad, 2 * x.size, l, quantizer)
+    return _report(grad, 2 * x.size, l, spec)
 
 
 @dataclass

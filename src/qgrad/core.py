@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MAX_POINTS = 2 ** 24
+MAX_POINTS = 2 ** 24
 
 # float64 represents every integer of magnitude below 2**53 exactly.  The
 # scaled oracle value must stay below it for round-to-nearest to be exact, and
@@ -43,12 +43,12 @@ class ProblemSpec:
     """All parameters of one gradient-estimation problem.
 
     d     number of input registers (gradient components)
-    N     lattice points per axis (any integer >= 2, not only powers of two)
+    N     lattice points per axis: any integer >= 2, not only a power of two,
+          with N**d <= MAX_POINTS
     n_o   output-register bits, 1..MAX_N_O; the modular ring has N_o = 2**n_o elements
     l     side length of the sampled hypercube centered at x0
     m     width of the interval bounding each gradient component
     x0    evaluation point (defaults to the origin)
-    max_points   cap on total lattice size N**d
     """
 
     d: int
@@ -57,7 +57,6 @@ class ProblemSpec:
     l: float
     m: float
     x0: np.ndarray | None = None
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         for name in ("d", "N", "n_o"):
@@ -72,10 +71,10 @@ class ProblemSpec:
             raise ValueError(f"l must be positive and finite, got {self.l}")
         if not 0 < self.m < np.inf:
             raise ValueError(f"m must be positive and finite, got {self.m}")
-        if self.N ** self.d > self.max_points:
+        if self.N ** self.d > MAX_POINTS:
             raise ValueError(
                 f"lattice size N**d = {self.N}**{self.d} exceeds the budget "
-                f"of {self.max_points} points"
+                f"of {MAX_POINTS} points"
             )
         x0 = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
         if x0.shape != (self.d,):

@@ -7,7 +7,7 @@ one-dimensional functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -134,25 +134,7 @@ CATALOG: dict[str, Callable[..., TestFunction]] = {
 }
 
 
-def scanned_range(fn: TestFunction, spec: ProblemSpec, points_per_axis: int | None = None):
-    """(min, max) of `fn` over the sampled lattice, by full or coarse grid scan.
-
-    With points_per_axis=None the scan covers every lattice point, so the
-    bounds are exact for the sampled domain; a coarse scan may miss extrema
-    between scanned points.  A coarse scan needs points_per_axis >= 2.
-    """
-    if points_per_axis is None:
-        deltas = lattice_points(spec)
-    else:
-        if points_per_axis < 2:
-            raise ValueError(f"points_per_axis must be >= 2, got {points_per_axis}")
-        axis = np.unique(np.round(np.linspace(0, spec.N - 1, points_per_axis)).astype(int))
-        deltas = axis[lattice_points(replace(spec, N=axis.size))]
-    values = fn.eval(encode_input(deltas, spec))
+def scanned_range(fn: TestFunction, spec: ProblemSpec):
+    """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain."""
+    values = fn.eval(encode_input(lattice_points(spec), spec))
     return float(np.min(values)), float(np.max(values))
-
-
-def with_scanned_range(fn: TestFunction, spec: ProblemSpec, points_per_axis: int | None = None) -> TestFunction:
-    """Copy of `fn` with f_min/f_max filled in by `scanned_range`."""
-    lo, hi = scanned_range(fn, spec, points_per_axis)
-    return replace(fn, f_min=lo, f_max=hi)

@@ -33,8 +33,6 @@ from .core import (
 )
 from .functions import TestFunction
 
-BRUTE_FORCE_MAX_POINTS = 4096
-
 # Lattice points per block of the phase-grid build.  The block temporaries
 # (indices, sample points, values, register) take O(BLOCK_POINTS * d) bytes
 # whatever the lattice size.
@@ -64,9 +62,6 @@ class AmplitudeGrid:
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.spec.shape)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass
@@ -173,30 +168,6 @@ def fourier_transform(grid: AmplitudeGrid, direction: str = "forward") -> Amplit
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     return replace(grid, amps=out.reshape(-1))
-
-
-def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> AmplitudeGrid:
-    """Direct double-sum evaluation of the same transform, O(N^2d).
-
-    Independent of the fast path; used as an oracle to validate it.  Guarded
-    to small grids.
-    """
-    spec = grid.spec
-    if spec.size > BRUTE_FORCE_MAX_POINTS:
-        raise ValueError(f"brute-force transform limited to {BRUTE_FORCE_MAX_POINTS} points, got {spec.size}")
-    if direction == "forward":
-        sign = -1.0
-    elif direction == "inverse":
-        sign = 1.0
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    coords = lattice_points(spec)
-    out = np.empty(spec.size, dtype=complex)
-    scale = spec.N ** (spec.d / 2.0)
-    for i in range(spec.size):
-        dots = coords @ coords[i]
-        out[i] = np.sum(grid.amps * np.exp(sign * 2j * np.pi * dots / spec.N)) / scale
-    return replace(grid, amps=out)
 
 
 def outcome_distribution(grid: AmplitudeGrid) -> OutcomeDistribution:

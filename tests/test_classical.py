@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from qgrad import (
-    FixedPointQuantizer,
     ProblemSpec,
     central_difference,
     cubic_1d,
     error_scaling_fit,
+    fixed_point,
     forward_difference,
     linear,
     quadratic,
@@ -103,36 +103,40 @@ def test_fit_input_validation():
 # --- fixed-point quantized evaluation ---
 
 def test_quantizer_round_trip_step():
-    q = FixedPointQuantizer(ProblemSpec(d=1, N=16, n_o=8, l=1.0, m=1.0))
-    assert q.step == pytest.approx(1.0 / (16 * 256))
-    assert q.dequantize(q.quantize(0.123)) == pytest.approx(0.123, abs=q.step / 2)
+    spec = ProblemSpec(d=1, N=16, n_o=8, l=1.0, m=1.0)
+    step = 1.0 / (16 * 256)  # m*l/(N*N_o)
+    assert fixed_point(0.123, spec) * step == pytest.approx(0.123, abs=step / 2)
+    # each quantized query reads f as its register value times the step
+    rep = forward_difference(linear([0.5], c=0.123), [0.0], 0.5, spec=spec)
+    expected = (fixed_point(0.373, spec) - fixed_point(0.123, spec)) * step / 0.5
+    assert rep.gradient_estimate[0] == expected
 
 
 def test_quantizer_rejects_values_beyond_exact_rounding():
     # N*N_o/(m*l) = 2**22: 1e15 scales far past 2**53, where int64 rounding is inexact
-    q = FixedPointQuantizer(ProblemSpec(d=1, N=4, n_o=20, l=1.0, m=1.0))
+    spec = ProblemSpec(d=1, N=4, n_o=20, l=1.0, m=1.0)
     for bad in (1e15, -1e15, np.nan):
         with pytest.raises(ValueError):
-            q.quantize(bad)
-        with pytest.raises(ValueError):
-            q.evaluate(linear([0.0], c=bad), [0.0])
+            fixed_point(bad, spec)
+        for diff in (forward_difference, central_difference):
+            with pytest.raises(ValueError):
+                diff(linear([0.0], c=bad), [0.0], 0.5, spec=spec)
 
 
 def test_quantized_linear_gradient_error_bound():
     # error per axis <= m/2^n + quantization term, checked on linear functions
     spec = ProblemSpec(d=1, N=64, n_o=10, l=0.25, m=1.0)
-    q = FixedPointQuantizer(spec)
     rng = np.random.default_rng(23)
     for _ in range(30):
         g = float(rng.uniform(-0.5, 0.5))
         f = linear([g], c=float(rng.uniform(-0.2, 0.2)))
         for diff in (forward_difference, central_difference):
-            rep = diff(f, [0.0], spec.l, quantizer=q)
+            rep = diff(f, [0.0], spec.l, spec=spec)
             bound = spec.m / spec.N + spec.m / (spec.N * spec.N_o)
             assert abs(rep.gradient_estimate[0] - g) <= bound
-            assert rep.quantized and rep.n_o == 10
+            assert rep.n_o == 10
 
 
 def test_quantized_report_flags():
     rep = forward_difference(linear([0.1]), [0.0], 0.5)
-    assert not rep.quantized and rep.n_o is None
+    assert rep.n_o is None

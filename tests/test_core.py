@@ -10,9 +10,9 @@ from qgrad import (
     encode_input,
     nearest_lattice_index,
     quantize_output,
-    round_half_down,
     round_half_up,
 )
+from qgrad.core import round_half_down
 
 
 def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
@@ -221,9 +221,11 @@ def test_spec_rejects_bad_parameters(kwargs):
 
 
 def test_spec_budget_cap():
-    with pytest.raises(ValueError):
-        ProblemSpec(d=4, N=100, n_o=3, l=1.0, m=1.0, max_points=10 ** 6)
-    ProblemSpec(d=3, N=100, n_o=3, l=1.0, m=1.0, max_points=10 ** 6)  # at budget: fine
+    # the cap is MAX_POINTS = 2**24 lattice points; construction allocates nothing
+    for d, N in ((4, 65), (2, 4097)):
+        with pytest.raises(ValueError):
+            ProblemSpec(d=d, N=N, n_o=3, l=1.0, m=1.0)
+    ProblemSpec(d=4, N=64, n_o=3, l=1.0, m=1.0)  # exactly 2**24: at budget, fine
 
 
 def test_spec_x0_default_and_shape():
