@@ -102,6 +102,8 @@ def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> 
     ls = np.sort(np.asarray(l_values, dtype=float))
     if ls.size < 4:
         raise ValueError(f"need at least 4 step sizes, got {ls.size}")
+    if not (ls[0] > 0 and np.all(np.isfinite(ls))):
+        raise ValueError(f"step sizes must be positive and finite, got {ls}")
     if ls[-1] / ls[0] < 10.0:
         raise ValueError("step sizes must span at least one decade")
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -48,7 +48,7 @@ class ProblemSpec:
     n_o   output-register bits, 1..MAX_N_O; the modular ring has N_o = 2**n_o elements
     l     side length of the sampled hypercube centered at x0
     m     width of the interval bounding each gradient component
-    x0    evaluation point (defaults to the origin)
+    x0    evaluation point, finite (defaults to the origin)
     """
 
     d: int
@@ -79,6 +79,8 @@ class ProblemSpec:
         x0 = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be finite, got {x0}")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -189,9 +191,14 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
 
     Ties (gradient exactly between two lattice frequencies) break toward the
     negative neighbor.  Used to define "success" for a run: the measurement
-    cannot do better than the nearest point of the m/N grid.
+    cannot do better than the nearest point of the m/N grid.  The scaled
+    gradient N*g/m must be finite and below 2**63 in magnitude, the int64 range.
     """
     g = np.atleast_1d(np.asarray(gradient, dtype=float))
     if g.shape[-1] != spec.d:
         raise ValueError(f"gradient must have last axis of length d={spec.d}")
-    return round_half_down(spec.N * g / spec.m) % spec.N
+    with np.errstate(over="ignore"):
+        scaled = spec.N * g / spec.m
+    if not np.all(np.abs(scaled) < 2.0 ** 63):
+        raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g}")
+    return round_half_down(scaled) % spec.N

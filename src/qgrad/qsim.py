@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     ProblemSpec,
+    _integer,
     decode_outcome,
     encode_input,
     lattice_points,
@@ -183,6 +184,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     Uses the counter-based Philox generator so a fixed seed gives the same
     sequence no matter how the surrounding work is scheduled.
     """
+    shots = _integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -254,10 +256,12 @@ def circular_variance(probs, N: int, mean: float | None = None) -> float:
     """Wrapped second moment (k^2 units) about the circular mean.
 
     The deviations are wrap_signed(k - mean, N), computed in one array of
-    length N.
+    length N.  A given mean must be finite with |mean| + 2N < 2**52.
     """
     w, total = _weights(probs, N)
     mu = circular_mean(w, N) if mean is None else mean
+    if not abs(mu) + 2 * N < 2.0 ** 52:
+        raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mu} for N={N}")
     x = np.arange(N, dtype=float)
     x -= mu
     x += N / 2.0
@@ -316,6 +320,9 @@ def run_gradient_estimation(
 
     shots = 0 skips sampling and reports distribution-level quantities only.
     """
+    shots = _integer("shots", shots)
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     # each state is released as soon as the next stage has read it: the
     # pre-FFT grid when the transform returns, the transformed one before
     # sampling, so a run holds at most two lattice-sized complex arrays

@@ -97,6 +97,8 @@ def test_fit_input_validation():
     with pytest.raises(ValueError):
         error_scaling_fit(f, [0.0], [0.1, 0.2, 0.3, 0.4])  # under a decade
     with pytest.raises(ValueError):
+        error_scaling_fit(f, [0.0], [0.0, 0.01, 0.1, 1.0])  # a zero step
+    with pytest.raises(ValueError):
         error_scaling_fit(f, [0.0], np.logspace(-2, 0, 8), method="sideways")
 
 

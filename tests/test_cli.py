@@ -192,6 +192,10 @@ def test_validation_failure_exits_2(tmp_path):
     assert main(["peak2d", "--hessian", "1,2,3", "--out", str(tmp_path / "z.csv")]) == 2
     # output register wider than exact fixed-point arithmetic allows
     assert main(["run", "--n-o", "63", "--out", str(tmp_path / "w.csv")]) == 2
+    # a negative shot count
+    assert main(["run", "--shots", "-3", "--out", str(tmp_path / "s.csv")]) == 2
+    # an evaluation point that is not finite
+    assert main(["run", "--x0", "nan", "--out", str(tmp_path / "n.csv")]) == 2
 
 
 def test_unknown_flag_exits_2():

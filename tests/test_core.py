@@ -191,6 +191,14 @@ def test_nearest_index_tie_goes_negative():
     assert nearest_lattice_index([-1.5 / 8], spec) == [8 - 2]
 
 
+def test_nearest_index_rejects_unrepresentable_gradient():
+    # N*g/m must round into int64: not finite, or 2**63 and above, cannot
+    spec = spec_1d(N=8, m=1.0)
+    for g in (np.inf, -np.inf, np.nan, 1e300):
+        with pytest.raises(ValueError):
+            nearest_lattice_index([g], spec)
+
+
 # --- ProblemSpec validation ---
 
 @pytest.mark.parametrize(
@@ -213,6 +221,8 @@ def test_nearest_index_tie_goes_negative():
         dict(d=1, N=4, n_o=3, l=float("nan"), m=1.0),
         dict(d=1, N=4, n_o=3, l=1.0, m=float("inf")),
         dict(d=1, N=4, n_o=3, l=1.0, m=float("nan")),
+        dict(d=1, N=4, n_o=3, l=1.0, m=1.0, x0=[float("nan")]),
+        dict(d=1, N=4, n_o=3, l=1.0, m=1.0, x0=[float("inf")]),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):

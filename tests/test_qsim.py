@@ -308,8 +308,14 @@ def test_uniform_sampling_frequencies_within_binomial_bound():
 
 def test_sample_rejects_nonpositive_shots():
     dist = outcome_distribution(random_grid(4, 1, seed=1))
-    with pytest.raises(ValueError):
-        sample(dist, shots=0, seed=0)
+    for shots in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError):
+            sample(dist, shots=shots, seed=0)
+    # a run takes shots = 0 (no sampling) but no negative or non-integer count
+    spec = ProblemSpec(d=1, N=8, n_o=4, l=1.0, m=1.0)
+    for shots in (-5, 2.5, True):
+        with pytest.raises(ValueError, match="shots"):
+            run_gradient_estimation(linear([0.25]), spec, shots=shots)
 
 
 # --- circular statistics on the periodic lattice ---
@@ -348,6 +354,12 @@ def test_circular_stats_reject_unusable_weights():
         for w, N in cases:
             with pytest.raises(ValueError, match="expected"):
                 stat(w, N)
+    # a given mean past the |mean| + 2N < 2**52 limit of exact wrapping
+    point = np.zeros(8)
+    point[3] = 1.0
+    for mean in (2.0 ** 60, -2.0 ** 60, np.inf, np.nan):
+        with pytest.raises(ValueError, match="mean"):
+            circular_variance(point, 8, mean=mean)
 
 
 def test_circular_stats_straddle_the_wrap():
