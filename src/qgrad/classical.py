@@ -1,10 +1,8 @@
 """Classical finite-difference gradient baselines with query accounting.
 
 Forward differences use d+1 function evaluations, central differences 2d.
-Passing `spec=` models a blackbox that returns f with a finite number of bits:
-every query reads f through `core.fixed_point` of that spec, the map whose
-value mod N_o is the quantum oracle register, so both use the same scale and
-rounding convention.
+Each query is one `f.eval` call; a blackbox that returns f with a finite
+number of bits is a `TestFunction` whose `eval` does the rounding.
 """
 from __future__ import annotations
 
@@ -12,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, fixed_point
 from .functions import TestFunction
 
 
@@ -21,55 +18,41 @@ class ClassicalReport:
     gradient_estimate: np.ndarray
     queries: int
     l_used: float
-    n_o: int | None = None
 
 
-def _stencil(f: TestFunction, x, l: float, spec: ProblemSpec | None):
-    """Checked step, x as a float vector, and the evaluator every query goes through."""
+def _stencil_center(x, l: float) -> np.ndarray:
+    """x as a float vector, after checking the step."""
     if not l > 0:
         raise ValueError(f"l must be positive, got {l}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if spec is None:
-        return x, lambda p: float(f.eval(p))
-    step = (spec.m * spec.l) / (spec.N * spec.N_o)
-    return x, lambda p: float(fixed_point(f.eval(p), spec) * step)
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _report(grad: np.ndarray, queries: int, l: float, spec: ProblemSpec | None) -> ClassicalReport:
-    n_o = None if spec is None else spec.n_o
-    return ClassicalReport(gradient_estimate=grad, queries=queries, l_used=l, n_o=n_o)
-
-
-def forward_difference(
-    f: TestFunction, x, l: float, spec: ProblemSpec | None = None
-) -> ClassicalReport:
+def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries."""
-    x, ev = _stencil(f, x, l, spec)
-    f0 = ev(x)
+    x = _stencil_center(x, l)
+    f0 = float(f.eval(x))
     grad = np.empty(x.size)
     for i in range(x.size):
         shifted = x.copy()
         shifted[i] += l
-        grad[i] = (ev(shifted) - f0) / l
-    return _report(grad, x.size + 1, l, spec)
+        grad[i] = (float(f.eval(shifted)) - f0) / l
+    return ClassicalReport(gradient_estimate=grad, queries=x.size + 1, l_used=l)
 
 
-def central_difference(
-    f: TestFunction, x, l: float, spec: ProblemSpec | None = None
-) -> ClassicalReport:
+def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     """g_i = (f(x + (l/2)e_i) - f(x - (l/2)e_i)) / l, using 2d queries.
 
     Centering the stencil cancels the quadratic terms, leaving an error of
     order l^2 from the cubic ones.
     """
-    x, ev = _stencil(f, x, l, spec)
+    x = _stencil_center(x, l)
     grad = np.empty(x.size)
     for i in range(x.size):
         hi, lo = x.copy(), x.copy()
         hi[i] += l / 2.0
         lo[i] -= l / 2.0
-        grad[i] = (ev(hi) - ev(lo)) / l
-    return _report(grad, 2 * x.size, l, spec)
+        grad[i] = (float(f.eval(hi)) - float(f.eval(lo))) / l
+    return ClassicalReport(gradient_estimate=grad, queries=2 * x.size, l_used=l)
 
 
 @dataclass

@@ -323,6 +323,8 @@ def run_gradient_estimation(
     shots = _integer("shots", shots)
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
+    success_index = nearest_lattice_index(true_gradient, spec)
     # each state is released as soon as the next stage has read it: the
     # pre-FFT grid when the transform returns, the transformed one before
     # sampling, so a run holds at most two lattice-sized complex arrays
@@ -333,8 +335,6 @@ def run_gradient_estimation(
 
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
-    true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
-    success_index = nearest_lattice_index(true_gradient, spec)
     success_probability = 0.0
     if _gradient_in_range(true_gradient, spec):
         success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qgrad import AmplitudeGrid, lattice_points
+from qgrad import AmplitudeGrid, ProblemSpec, TestFunction, fixed_point, lattice_points
 
 BRUTE_FORCE_MAX_POINTS = 4096
 
@@ -30,3 +30,10 @@ def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> Am
         dots = coords @ coords[i]
         out[i] = np.sum(grid.amps * np.exp(sign * 2j * np.pi * dots / spec.N)) / scale
     return replace(grid, amps=out)
+
+
+def quantized(f: TestFunction, spec: ProblemSpec) -> TestFunction:
+    """The blackbox that returns f in fixed point: `core.fixed_point` of `spec`
+    (the unwrapped oracle register) times one unit, m*l/(N*N_o)."""
+    step = (spec.m * spec.l) / (spec.N * spec.N_o)
+    return replace(f, eval=lambda p: fixed_point(f.eval(p), spec) * step)

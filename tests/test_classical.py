@@ -1,8 +1,11 @@
 """Tests for finite-difference baselines, query accounting, and quantized evaluation."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qgrad import (
+    ClassicalReport,
     ProblemSpec,
     central_difference,
     cubic_1d,
@@ -12,6 +15,7 @@ from qgrad import (
     linear,
     quadratic,
 )
+from oracles import quantized
 
 
 # --- forward differences ---
@@ -109,7 +113,7 @@ def test_quantizer_round_trip_step():
     step = 1.0 / (16 * 256)  # m*l/(N*N_o)
     assert fixed_point(0.123, spec) * step == pytest.approx(0.123, abs=step / 2)
     # each quantized query reads f as its register value times the step
-    rep = forward_difference(linear([0.5], c=0.123), [0.0], 0.5, spec=spec)
+    rep = forward_difference(quantized(linear([0.5], c=0.123), spec), [0.0], 0.5)
     expected = (fixed_point(0.373, spec) - fixed_point(0.123, spec)) * step / 0.5
     assert rep.gradient_estimate[0] == expected
 
@@ -122,7 +126,7 @@ def test_quantizer_rejects_values_beyond_exact_rounding():
             fixed_point(bad, spec)
         for diff in (forward_difference, central_difference):
             with pytest.raises(ValueError):
-                diff(linear([0.0], c=bad), [0.0], 0.5, spec=spec)
+                diff(quantized(linear([0.0], c=bad), spec), [0.0], 0.5)
 
 
 def test_quantized_linear_gradient_error_bound():
@@ -133,12 +137,18 @@ def test_quantized_linear_gradient_error_bound():
         g = float(rng.uniform(-0.5, 0.5))
         f = linear([g], c=float(rng.uniform(-0.2, 0.2)))
         for diff in (forward_difference, central_difference):
-            rep = diff(f, [0.0], spec.l, spec=spec)
+            rep = diff(quantized(f, spec), [0.0], spec.l)
             bound = spec.m / spec.N + spec.m / (spec.N * spec.N_o)
             assert abs(rep.gradient_estimate[0] - g) <= bound
-            assert rep.n_o == 10
 
 
 def test_quantized_report_flags():
-    rep = forward_difference(linear([0.1]), [0.0], 0.5)
-    assert rep.n_o is None
+    # quantization lives in the blackbox: a report carries no quantization
+    # state, and a quantized blackbox costs the same queries as the exact one
+    assert [fl.name for fl in fields(ClassicalReport)] == ["gradient_estimate", "queries", "l_used"]
+    spec = ProblemSpec(d=2, N=16, n_o=8, l=0.5, m=1.0)
+    f = linear([0.1, -0.2])
+    for diff in (forward_difference, central_difference):
+        exact = diff(f, [0.0, 0.0], spec.l)
+        rep = diff(quantized(f, spec), [0.0, 0.0], spec.l)
+        assert (rep.queries, rep.l_used) == (exact.queries, exact.l_used)

@@ -318,6 +318,18 @@ def test_sample_rejects_nonpositive_shots():
             run_gradient_estimation(linear([0.25]), spec, shots=shots)
 
 
+def test_run_rejects_unrepresentable_gradient_before_building():
+    # the true gradient is checked before any query, so f is never evaluated
+    def no_queries(points):
+        raise AssertionError("f evaluated before the gradient check")
+
+    spec = ProblemSpec(d=1, N=8, n_o=4, l=1.0, m=1.0)
+    for g in (np.inf, np.nan):
+        f = replace(linear([0.25]), eval=no_queries, grad=lambda x, g=g: np.array([g]))
+        with pytest.raises(ValueError):
+            run_gradient_estimation(f, spec, shots=0)
+
+
 # --- circular statistics on the periodic lattice ---
 
 def test_wrap_signed_shorter_arc():
