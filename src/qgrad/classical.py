@@ -21,10 +21,13 @@ class ClassicalReport:
 
 
 def _stencil_center(x, l: float) -> np.ndarray:
-    """x as a float vector, after checking the step."""
+    """x as a float vector, after checking it and the step."""
     if not l > 0:
         raise ValueError(f"l must be positive, got {l}")
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
+    return x
 
 
 def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
@@ -89,7 +92,7 @@ def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> 
         raise ValueError(f"step sizes must be positive and finite, got {ls}")
     if ls[-1] / ls[0] < 10.0:
         raise ValueError("step sizes must span at least one decade")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _stencil_center(x, ls[0])
     true = np.atleast_1d(np.asarray(f.grad(x), dtype=float)).reshape(-1)
     diff = _METHODS[method]
     errors = np.array(

@@ -34,9 +34,10 @@ from .core import (
 )
 from .functions import TestFunction
 
-# Lattice points per block of the phase-grid build.  The block temporaries
-# (indices, sample points, values, register) take O(BLOCK_POINTS * d) bytes
-# whatever the lattice size.
+# Lattice points per block of the phase-grid build, of |amps|^2, of sampling
+# and of the d=1 variance.  The block temporaries (indices, sample points,
+# values, register; cumulative sums, deviations) take O(BLOCK_POINTS * d)
+# bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
 
 
@@ -108,6 +109,12 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     expression, so both ways give the same amplitudes to the bit.  The
     state, 16 bytes per point, is the only lattice-sized array built.
     """
+    # glibc gives freed heap memory above its trim threshold back to the
+    # kernel, so each block would page-fault its temporaries afresh (at d=4,
+    # N=48 about 123k faults, a third of the build).  The threshold follows
+    # the largest mmapped chunk freed so far: freeing one chunk the size of
+    # four (block, d) float64 arrays raises it above a block's temporaries.
+    np.empty(4 * 8 * spec.d * min(spec.size, BLOCK_POINTS), dtype=np.uint8)
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
     table = None
@@ -147,19 +154,28 @@ def _check_declared_range(values: np.ndarray, f: TestFunction):
         raise ValueError(f"{f.name}: sampled value {values.max()} above declared f_max={f.f_max}")
 
 
-def fourier_transform(grid: AmplitudeGrid, direction: str = "forward") -> AmplitudeGrid:
+def fourier_transform(
+    grid: AmplitudeGrid, direction: str = "forward", *, out: np.ndarray | None = None
+) -> AmplitudeGrid:
     """Unitary N-point discrete Fourier transform applied along every axis.
 
     forward: a(delta) -> N^(-d/2) * sum_delta a(delta) exp(-i*2*pi*k.delta/N),
     so a planewave exp(+i*2*pi*nu.delta/N) lands on outcome k = nu mod N.
     Works for any N (mixed-radix / Bluestein under the hood).
+
+    The result is written into `out`, a complex array of N**d entries that
+    reshapes to the lattice without a copy, as numpy's `fftn(out=)` does;
+    `out=grid.amps` transforms the grid in place.  By default a new array is
+    allocated and the input grid is left unchanged.
     """
     spec = grid.spec
     a = grid.reshaped()
     scale = spec.N ** (spec.d / 2.0)
-    # one output array, written by every axis pass and scaled in place; the
-    # input grid is left unchanged
-    out = np.empty(spec.shape, dtype=complex)
+    # every axis pass writes the one output array, which is then scaled in place
+    if out is None:
+        out = np.empty(spec.shape, dtype=complex)
+    else:
+        out = out.reshape(spec.shape, copy=False)
     if direction == "forward":
         np.fft.fftn(a, out=out)
         out /= scale
@@ -171,26 +187,80 @@ def fourier_transform(grid: AmplitudeGrid, direction: str = "forward") -> Amplit
     return replace(grid, amps=out.reshape(-1))
 
 
-def outcome_distribution(grid: AmplitudeGrid) -> OutcomeDistribution:
-    """Computational-basis measurement probabilities |amps|^2 (no renormalizing)."""
-    p = np.abs(grid.amps)
-    np.square(p, out=p)
-    return OutcomeDistribution(grid.spec, p)
+def outcome_distribution(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> OutcomeDistribution:
+    """Computational-basis measurement probabilities |amps|^2 (no renormalizing).
+
+    The probabilities are written into `out`, a float array of N**d entries
+    (a new one by default), in ascending blocks of BLOCK_POINTS points.  So
+    `out=grid.amps.view(float)[:N**d]` reuses the state's own buffer:
+    writing block [s, e) of the floats overwrites no amplitude of a later
+    block.
+    """
+    amps = grid.amps
+    if out is None:
+        out = np.empty(amps.size)
+    for start in range(0, amps.size, BLOCK_POINTS):
+        src = amps[start:start + BLOCK_POINTS]
+        block = out[start:start + BLOCK_POINTS]
+        if np.may_share_memory(src, block):
+            # only the first block of the state's own buffer: numpy would run an
+            # overlapping call through a buffered loop whose |a| can differ by an ulp
+            src = src.copy()
+        np.abs(src, out=block)
+        np.square(block, out=block)
+    return OutcomeDistribution(grid.spec, out)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     """i.i.d. outcome draws, shape (shots, d), int64.
 
     Uses the counter-based Philox generator so a fixed seed gives the same
-    sequence no matter how the surrounding work is scheduled.
+    sequence no matter how the surrounding work is scheduled.  The draws are
+    those of `Generator.choice(N**d, shots, p=probs/probs.sum())`, without
+    its N**d-entry temporaries: the cumulative sum of the normalized weights
+    is taken in blocks of BLOCK_POINTS, once for its last value and once more
+    to search the sorted uniforms block by block.  Weights that are negative
+    or NaN, or whose sum is not finite and positive, raise ValueError.
     """
     shots = _integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    total = float(dist.probs.sum())
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError(f"weights sum to {total}, expected a finite positive sum")
+    for _, cdf in _cumulative_blocks(dist.probs, total):
+        last = cdf[-1]
     rng = np.random.Generator(np.random.Philox(seed))
-    p = dist.probs / dist.probs.sum()
-    flat = rng.choice(dist.probs.size, size=shots, p=p)
+    u = rng.random(shots)
+    order = np.argsort(u, kind="stable")
+    u = u[order]
+    flat = np.empty(shots, dtype=np.int64)
+    lo = 0
+    for start, cdf in _cumulative_blocks(dist.probs, total):
+        cdf /= last
+        # the uniforms below this block's last value fall in this block
+        hi = lo + int(np.searchsorted(u[lo:], cdf[-1], side="left"))
+        flat[order[lo:hi]] = start + np.searchsorted(cdf, u[lo:hi], side="right")
+        lo = hi
     return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
+
+
+def _cumulative_blocks(probs: np.ndarray, total: float):
+    """(start, cumsum(probs / total)[start:start + BLOCK_POINTS]) for each block.
+
+    Each block adds the previous block's last value into its first element
+    before its own cumsum, which is the sequential sum `cumsum` takes over
+    the whole array, bit for bit.
+    """
+    carry = 0.0
+    for start in range(0, probs.size, BLOCK_POINTS):
+        cdf = probs[start:start + BLOCK_POINTS] / total
+        if not cdf.min() >= 0.0:
+            raise ValueError(f"weights must be nonnegative, found one in [{start}, {start + cdf.size})")
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        carry = cdf[-1]
+        yield start, cdf
 
 
 # -- Circular statistics on the periodic outcome lattice ---------------------
@@ -255,27 +325,32 @@ def circular_mean(probs, N: int) -> float:
 def circular_variance(probs, N: int, mean: float | None = None) -> float:
     """Wrapped second moment (k^2 units) about the circular mean.
 
-    The deviations are wrap_signed(k - mean, N), computed in one array of
-    length N.  A given mean must be finite with |mean| + 2N < 2**52.
+    The deviations are wrap_signed(k - mean, N), computed in blocks of at
+    most BLOCK_POINTS entries, so nothing of length N is allocated.  A given
+    mean must be finite with |mean| + 2N < 2**52.
     """
     w, total = _weights(probs, N)
     mu = circular_mean(w, N) if mean is None else mean
     if not abs(mu) + 2 * N < 2.0 ** 52:
         raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mu} for N={N}")
-    x = np.arange(N, dtype=float)
-    x -= mu
-    x += N / 2.0
-    # while |mean| + 2N < 2**52, x is sorted and spans less than N, so x mod N
-    # is x - j*N on a head and x - (j + 1)*N on the rest, j = floor(x[0] / N)
-    # (a float over an integer never rounds onto an integer it is not): the
-    # values np.remainder gives, from two cheap slices instead of a modulo
-    j = np.floor(x[0] / N)
-    split = np.searchsorted(x, (j + 1) * N)
-    x[:split] -= j * N
-    x[split:] -= (j + 1) * N
-    x -= N / 2.0
-    np.square(x, out=x)
-    return float(np.einsum("k,k->", w, x)) / total  # a dot product without BLAS
+    # while |mean| + 2N < 2**52, x = (k - mean) + N/2 is sorted and spans less
+    # than N, so x mod N is x - j*N below (j + 1)*N and x - (j + 1)*N from
+    # there on, j = floor(x[0] / N) (a float over an integer never rounds onto
+    # an integer it is not): the values np.remainder gives, from two cheap
+    # slices of each block instead of a modulo
+    j = np.floor(((0.0 - mu) + N / 2.0) / N)
+    second = 0.0
+    for start in range(0, N, BLOCK_POINTS):
+        x = np.arange(start, min(start + BLOCK_POINTS, N), dtype=float)
+        x -= mu
+        x += N / 2.0
+        split = np.searchsorted(x, (j + 1) * N)
+        x[:split] -= j * N
+        x[split:] -= (j + 1) * N
+        x -= N / 2.0
+        np.square(x, out=x)
+        second += float(np.einsum("k,k->", w[start:start + x.size], x))  # a dot product without BLAS
+    return second / total
 
 
 # -- End-to-end run -----------------------------------------------------------
@@ -290,6 +365,10 @@ class GradientEstimationReport:
     cannot beat lattice resolution, so that outcome is "success".  It is 0.0
     when a component of the true gradient lies outside [-m/2, m/2): such a
     gradient aliases onto a wrong decoded value, so no outcome is a success.
+
+    The run works in one state buffer, so `distribution.probs` is a float64
+    view of the first N**d * 8 bytes of the complex128 state (16 bytes per
+    point), which lives as long as the report holds the distribution.
     """
 
     spec: ProblemSpec
@@ -325,13 +404,12 @@ def run_gradient_estimation(
         raise ValueError(f"shots must be >= 0, got {shots}")
     true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
-    # each state is released as soon as the next stage has read it: the
-    # pre-FFT grid when the transform returns, the transformed one before
-    # sampling, so a run holds at most two lattice-sized complex arrays
-    transformed = fourier_transform(build_phase_state(f, spec), "forward")
-    query_count = transformed.query_count
-    dist = outcome_distribution(transformed)
-    del transformed
+    # the run owns its state: the transform, the probabilities and the
+    # statistics all work in the one buffer the build fills
+    grid = build_phase_state(f, spec)
+    grid = fourier_transform(grid, "forward", out=grid.amps)
+    query_count = grid.query_count
+    dist = outcome_distribution(grid, out=grid.amps.view(float)[: spec.size])
 
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))

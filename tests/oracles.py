@@ -32,6 +32,14 @@ def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> Am
     return replace(grid, amps=out)
 
 
+def choice_draws(probs, shape, shots: int, seed: int) -> np.ndarray:
+    """`Generator.choice` draws over the flat outcomes, unravelled to (shots, d)."""
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    rng = np.random.Generator(np.random.Philox(seed))
+    flat = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    return np.column_stack(np.unravel_index(flat, shape)).astype(np.int64)
+
+
 def quantized(f: TestFunction, spec: ProblemSpec) -> TestFunction:
     """The blackbox that returns f in fixed point: `core.fixed_point` of `spec`
     (the unwrapped oracle register) times one unit, m*l/(N*N_o)."""

@@ -72,6 +72,13 @@ def test_step_must_be_positive():
         central_difference(linear([0.0]), [0.0], -0.1)
 
 
+def test_stencil_rejects_non_finite_point():
+    for x in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        for difference in (forward_difference, central_difference):
+            with pytest.raises(ValueError, match="finite"):
+                difference(linear([0.0] * len(x)), x, 0.1)
+
+
 # --- error-scaling fits ---
 
 def test_central_slope_on_cubic_is_two():
@@ -104,6 +111,9 @@ def test_fit_input_validation():
         error_scaling_fit(f, [0.0], [0.0, 0.01, 0.1, 1.0])  # a zero step
     with pytest.raises(ValueError):
         error_scaling_fit(f, [0.0], np.logspace(-2, 0, 8), method="sideways")
+    for x in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            error_scaling_fit(f, x, np.logspace(-2, 0, 8))
 
 
 # --- fixed-point quantized evaluation ---

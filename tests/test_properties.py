@@ -1,5 +1,6 @@
 """Property-based tests of the lattice, the fixed-point maps, the transform and the state types."""
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qgrad import (
     ideal_state_fidelity,
     lattice_points,
     nearest_lattice_index,
+    qsim,
     quantize_output,
     wrap_signed,
 )
@@ -201,14 +203,17 @@ def test_circular_stats_match_the_direct_formulas(case):
 
 
 @FAST
-@given(weight_vectors(), st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)))
-def test_circular_variance_about_any_given_mean(case, frac):
-    # a given mean need not lie in [0, N), nor within a few periods of it:
-    # any mean gives the direct formula's value
+@given(weight_vectors(), st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)),
+       st.one_of(st.integers(1, 64), st.integers(65, 6000)))
+def test_circular_variance_about_any_given_mean(case, frac, block):
+    # a given mean need not lie in [0, N), nor within a few periods of it, and
+    # the deviations may be summed in blocks of any size: any mean and any
+    # block size give the direct formula's value
     N, w = case
     mean = frac * N
     expected = direct_circular_variance(w, N, mean)
-    assert circular_variance(w, N, mean=mean) == pytest.approx(expected, rel=1e-12, abs=0)
+    with mock.patch.object(qsim, "BLOCK_POINTS", block):
+        assert circular_variance(w, N, mean=mean) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
