@@ -71,8 +71,11 @@ def support_membership(k, prediction: SigmaPrediction, slack: float = 1.5):
     Solves A*u = k (pseudo-inverse, so rank-deficient A degenerates to the
     supported subspace), clamps u to the unit cube, and maps the violation
     back through A: membership means the nearest in-region point, measured in
-    lattice cells, is at most `slack` away in max-norm.
+    lattice cells, is at most `slack` away in max-norm.  The slack must be
+    finite and >= 0.
     """
+    if not 0 <= slack < np.inf:
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     A = prediction.support_matrix
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
     squeeze = k_arr.ndim == 1

@@ -22,8 +22,8 @@ class ClassicalReport:
 
 def _stencil_center(x, l: float) -> np.ndarray:
     """x as a float vector, after checking it and the step."""
-    if not l > 0:
-        raise ValueError(f"l must be positive, got {l}")
+    if not 0 < l < np.inf:
+        raise ValueError(f"l must be positive and finite, got {l}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")

@@ -108,13 +108,16 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def lattice_points(spec: ProblemSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Lattice index vectors of rows [start, stop), shape (stop - start, d).
+def lattice_points(
+    spec: ProblemSpec, start: int = 0, stop: int | None = None, step: int = 1
+) -> np.ndarray:
+    """Lattice index vectors of rows range(start, stop, step), shape (len(range), d).
 
     The one enumeration of [0,N)^d, in row-major order: row i equals
-    np.unravel_index(i, spec.shape).  The default range is the whole lattice.
+    np.unravel_index(i, spec.shape).  The default range is the whole lattice;
+    step=N gives the heads of the last-axis lines.
     """
-    rows = np.arange(start, spec.size if stop is None else stop)
+    rows = np.arange(start, spec.size if stop is None else stop, step)
     return np.stack(np.unravel_index(rows, spec.shape), axis=-1)
 
 

@@ -8,8 +8,8 @@ exp(i*2*pi*g(delta)/N_o).  For integer-valued oracles this phase action is
 exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
-The simulation evaluates that one query in row-major blocks of lattice points,
-so the state is the only lattice-sized array of the build.
+The simulation evaluates that one query in row-major blocks of whole
+last-axis lines, so the state is the only lattice-sized array of the build.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -35,7 +35,8 @@ from .core import (
 from .functions import TestFunction
 
 # Lattice points per block of the phase-grid build, of |amps|^2, of sampling
-# and of the d=1 variance.  The block temporaries (indices, sample points,
+# and of the d=1 variance (a build block is the whole last-axis lines that fit,
+# or one segment of a longer line).  The block temporaries (sample points,
 # values, register; cumulative sums, deviations) take O(BLOCK_POINTS * d)
 # bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
@@ -100,14 +101,18 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     evaluation belongs to the single superposed query, so query_count = 1.
 
     The state is filled in consecutive row-major blocks of at most
-    BLOCK_POINTS points: `f.eval` is called once per block, must be
-    vectorized, and must give each point's value from that point alone, not
-    from the rest of the batch.  The declared f_min/f_max and the 2**53
-    limit of `fixed_point` are checked block by block, and an error reports
-    the offending block's min and max.  When N_o < N^d the phases are looked
-    up in a table of the N_o register values; the table holds the same
-    expression, so both ways give the same amplitudes to the bit.  The
-    state, 16 bytes per point, is the only lattice-sized array built.
+    BLOCK_POINTS points: max(1, BLOCK_POINTS // N) whole last-axis lines, or
+    one segment of a line longer than that.  Only the first line and the
+    line heads are enumerated and encoded; the other points copy their
+    coordinates from them, which are the same floats.  `f.eval` is called
+    once per block, must be vectorized, and must give each point's value
+    from that point alone, not from the rest of the batch.  The declared
+    f_min/f_max and the 2**53 limit of `fixed_point` are checked block by
+    block, and an error reports the offending block's min and max.  When
+    N_o < N^d the phases are looked up in a table of the N_o register
+    values; the table holds the same expression, so both ways give the same
+    amplitudes to the bit.  The state, 16 bytes per point, is the only
+    lattice-sized array built.
     """
     # glibc gives freed heap memory above its trim threshold back to the
     # kernel, so each block would page-fault its temporaries afresh (at d=4,
@@ -121,17 +126,41 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     if spec.N_o < spec.size:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
     check_range = f.f_min is not None or f.f_max is not None
-    for start in range(0, spec.size, BLOCK_POINTS):
-        stop = min(start + BLOCK_POINTS, spec.size)
-        values = _evaluate(f, encode_input(lattice_points(spec, start, stop), spec))
-        if check_range:
-            _check_declared_range(values, f)
-        g = quantize_output(values, spec)
-        if table is None:
-            amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
-        else:
-            np.take(table, g, out=amps[start:stop])
+    N = spec.N
+    lines = max(1, BLOCK_POINTS // N)
+    for head in range(0, spec.size, lines * N):
+        n = min(lines, (spec.size - head) // N)
+        # one pass unless a line is longer than a block (then n = 1)
+        for offset in range(0, N, BLOCK_POINTS):
+            start, width = head + offset, min(BLOCK_POINTS, N - offset)
+            stop = start + n * width
+            values = _evaluate(f, _block_points(spec, start, n, width))
+            if check_range:
+                _check_declared_range(values, f)
+            g = quantize_output(values, spec)
+            if table is None:
+                amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
+            else:
+                np.take(table, g, out=amps[start:stop])
     return AmplitudeGrid(spec, amps, query_count=1)
+
+
+def _block_points(spec: ProblemSpec, start: int, lines: int, width: int) -> np.ndarray:
+    """Encoded points of rows [start, start + lines * width), shape (lines * width, d).
+
+    The rows are `lines` whole last-axis lines (width = N) or one segment of
+    a line.  Along a line only the last coordinate changes, and encode_input
+    maps each column on its own, so every point takes its leading
+    coordinates from its line's head and its last one from the first line.
+    """
+    first = encode_input(lattice_points(spec, start, start + width), spec)
+    if lines == 1:
+        return first
+    heads = encode_input(lattice_points(spec, start, start + lines * width, step=width), spec)
+    points = np.empty((lines, width, spec.d))
+    points[:, :, :-1] = heads[:, None, :-1]
+    points[:, :, -1] = first[:, -1]
+    return points.reshape(-1, spec.d)
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:

@@ -112,6 +112,14 @@ def test_membership_vectorized():
     assert flags.tolist() == [True, False]
 
 
+def test_membership_rejects_unusable_slack():
+    # a NaN or negative slack put every point outside the region
+    pred = stationary_phase_sigma(0.01 * np.eye(2), spec_for(d=2))
+    for slack in (np.nan, -5.0, -1e-9, np.inf):
+        with pytest.raises(ValueError, match="slack"):
+            support_membership([0.0, 0.0], pred, slack=slack)
+
+
 # --- precision budgets ---
 
 def test_classical_bits_unit_case():

@@ -70,6 +70,11 @@ def test_step_must_be_positive():
         forward_difference(linear([0.0]), [0.0], 0.0)
     with pytest.raises(ValueError):
         central_difference(linear([0.0]), [0.0], -0.1)
+    # an infinite or NaN step gave a NaN gradient
+    for l in (np.inf, np.nan):
+        for difference in (forward_difference, central_difference):
+            with pytest.raises(ValueError, match="finite"):
+                difference(quadratic([1.0], [[2.0]]), [0.0], l)
 
 
 def test_stencil_rejects_non_finite_point():
@@ -109,6 +114,9 @@ def test_fit_input_validation():
         error_scaling_fit(f, [0.0], [0.1, 0.2, 0.3, 0.4])  # under a decade
     with pytest.raises(ValueError):
         error_scaling_fit(f, [0.0], [0.0, 0.01, 0.1, 1.0])  # a zero step
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            error_scaling_fit(f, [0.0], [0.01, 0.1, 1.0, bad])
     with pytest.raises(ValueError):
         error_scaling_fit(f, [0.0], np.logspace(-2, 0, 8), method="sideways")
     for x in ([np.nan], [np.inf]):

@@ -196,6 +196,12 @@ def test_validation_failure_exits_2(tmp_path):
     assert main(["run", "--shots", "-3", "--out", str(tmp_path / "s.csv")]) == 2
     # an evaluation point that is not finite
     assert main(["run", "--x0", "nan", "--out", str(tmp_path / "n.csv")]) == 2
+    # a membership slack that is not finite and >= 0
+    for flag in ("--slack-cells", "--slack-cells-outer"):
+        for slack in ("nan", "-5", "inf"):
+            out = tmp_path / "p.csv"
+            assert main(["peak2d", "--N", "16", flag, slack, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_unknown_flag_exits_2():

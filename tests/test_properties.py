@@ -12,9 +12,11 @@ from qgrad import (
     OutcomeDistribution,
     ProblemSpec,
     apply_phase_error,
+    build_phase_state,
     circular_mean,
     circular_variance,
     decode_outcome,
+    encode_input,
     fixed_point,
     fourier_transform,
     ideal_planewave,
@@ -22,6 +24,7 @@ from qgrad import (
     lattice_points,
     nearest_lattice_index,
     qsim,
+    quadratic,
     quantize_output,
     wrap_signed,
 )
@@ -50,7 +53,36 @@ def test_lattice_points_rows_are_row_major_indices(spec):
 def test_lattice_point_rows_are_slices_of_the_lattice(spec, data):
     a = data.draw(st.integers(0, spec.size))
     b = data.draw(st.integers(a, spec.size))
+    step = data.draw(st.integers(1, spec.size + 1))
     assert np.array_equal(lattice_points(spec, a, b), lattice_points(spec)[a:b])
+    assert np.array_equal(lattice_points(spec, a, b, step), lattice_points(spec)[a:b:step])
+
+
+# largest N drawn per d, so that N**d stays a few thousand points
+MAX_BUILD_N = {1: 300, 2: 48, 3: 13, 4: 7}
+
+
+@FAST
+@given(st.data())
+def test_build_does_not_depend_on_the_blocking(data):
+    # blocks of whole last-axis lines, several short lines, segments of a line
+    # (a block below N at d >= 2) or sizes that do not divide N: every blocking
+    # gives the one-shot formula's amplitudes to the bit
+    d = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(2, MAX_BUILD_N[d]))
+    size = N ** d
+    # N_o = 2**n_o on both sides of N**d: the phase table and the direct exp
+    n_o = data.draw(st.integers(1, size.bit_length() + 1))
+    x0 = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    spec = ProblemSpec(d=d, N=N, n_o=n_o, l=data.draw(st.floats(0.1, 4.0)), m=1.0, x0=x0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-1.0, 1.0, size=(d, d))
+    f = quadratic(rng.uniform(-1.0, 1.0, size=d), a + a.T)
+    block = data.draw(st.one_of(st.integers(1, N), st.integers(1, size + 1)))
+    g = quantize_output(f.eval(encode_input(lattice_points(spec), spec)), spec)
+    expected = np.exp(2j * np.pi * g / spec.N_o) / spec.N ** (spec.d / 2.0)
+    with mock.patch.object(qsim, "BLOCK_POINTS", block):
+        assert np.array_equal(build_phase_state(f, spec).amps, expected)
 
 
 @FAST

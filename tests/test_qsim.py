@@ -1,5 +1,4 @@
 """Tests for the amplitude-level simulator: phase grids, transforms, sampling, runs."""
-import math
 import platform
 import subprocess
 import sys
@@ -155,7 +154,9 @@ def test_range_violations_in_the_last_block_raise():
 
 
 def test_build_calls_each_stage_once_per_block(monkeypatch):
-    # perfbench's per-layer tracing wraps these qsim globals; the build must look them up
+    # perfbench's per-layer tracing wraps these qsim globals; the build must look them up.
+    # eval and quantize_output run once per block; lattice_points and encode_input
+    # once per one-line block or segment, twice (first line, line heads) per multi-line block
     calls = Counter()
 
     def counted(name, fn):
@@ -166,11 +167,22 @@ def test_build_calls_each_stage_once_per_block(monkeypatch):
 
     for name in ("lattice_points", "encode_input", "quantize_output"):
         monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
-    spec, f = STREAMED_CASES[2]
-    f = replace(f, eval=counted("eval", f.eval))
-    assert build_phase_state(f, spec).query_count == 1
-    blocks = math.ceil(spec.N ** spec.d / BLOCK_POINTS)
-    assert calls == {name: blocks for name in ("lattice_points", "encode_input", "quantize_output", "eval")}
+    d2, d1 = STREAMED_CASES[2], STREAMED_CASES[0]
+    small = (ProblemSpec(d=2, N=5, n_o=8, l=1.0, m=1.0), d2[1])
+    # (case, BLOCK_POINTS, blocks, enumerations)
+    cases = [
+        (d2, BLOCK_POINTS, 2, 4),  # 300 lines of 300: blocks of 218 and 82 lines
+        (d1, BLOCK_POINTS, 3, 3),  # one line of 2B + 100: segments B, B, 100
+        (small, 10, 3, 5),  # 5 lines of 5: blocks of 2, 2 and 1 lines
+        (small, 3, 10, 10),  # each line in segments of 3 and 2
+    ]
+    for (spec, f), block, blocks, enumerations in cases:
+        calls.clear()
+        monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
+        f = replace(f, eval=counted("eval", f.eval))
+        assert build_phase_state(f, spec).query_count == 1
+        assert calls == {"lattice_points": enumerations, "encode_input": enumerations,
+                         "quantize_output": blocks, "eval": blocks}
 
 
 def _traced_peak(call) -> int:
