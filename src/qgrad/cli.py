@@ -8,13 +8,15 @@ Subcommands
     compare-classical  query counts, achieved error, precision bits per method
 
 Every CSV starts with comment lines recording the full configuration and the
-tool version; identical flags and seed produce byte-identical files.  Floats
-are written with up to 12 significant digits, '.' decimal separator.
+tool version; identical flags and seed produce byte-identical files.  Each
+column has one printf code: %d for integers and 1/0 flags, %.12g for floats
+(up to 12 significant digits, '.' decimal separator, -0 kept) and %s for text.
 Exit codes: 0 success, 2 invalid configuration, 1 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -42,21 +44,16 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+def _write_csv(out: str, comments: list[str], columns: dict[str, str], rows):
+    """Write comment lines, the header and one line per row.
 
-
-def _write_csv(out: str, comments: list[str], columns: list[str], rows: list[list]):
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    `columns` maps each column name to its printf code: "%d" (ints, bools as
+    1/0), "%.12g" (floats) or "%s" (text).  The body is one % operation.
+    """
+    cells = tuple(itertools.chain.from_iterable(rows))
+    line = ",".join(columns.values()) + "\n"
+    body = (line * (len(cells) // len(columns))) % cells
+    text = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n" + body
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -70,12 +67,6 @@ def _config_comment(args: argparse.Namespace) -> str:
     return f"config {json.dumps(cfg, sort_keys=True)} version={__version__}"
 
 
-def _resolve_n(args) -> int:
-    if getattr(args, "n_bits", None) is not None:
-        return 2 ** args.n_bits
-    return args.N
-
-
 def _per_axis(values: list[float], d: int, flag: str) -> list[float]:
     """A "1 or d components" option: one component is repeated on every axis."""
     if len(values) == 1:
@@ -85,9 +76,9 @@ def _per_axis(values: list[float], d: int, flag: str) -> list[float]:
     return values
 
 
-def _spec_from_args(args, d: int | None = None, N: int | None = None) -> ProblemSpec:
+def _spec_from_args(args, d: int | None = None) -> ProblemSpec:
     d = d if d is not None else args.d
-    N = N if N is not None else _resolve_n(args)
+    N = 2 ** args.n_bits if args.n_bits is not None else args.N
     x0 = getattr(args, "x0", None)
     x0 = None if x0 is None else _per_axis(x0, d, "--x0")
     return ProblemSpec(d=d, N=N, n_o=args.n_o, l=args.l, m=args.m, x0=x0)
@@ -118,9 +109,8 @@ def _build_function(args, spec: ProblemSpec):
         if spec.d != 1:
             raise ValueError("cubic_1d is one-dimensional; use --d 1")
         return cubic_1d(args.a3)
-    if name == "sinusoid":
-        return sinusoid(args.amplitude, _per_axis(args.wavevector, spec.d, "--wavevector"))
-    raise ValueError(f"unknown function {name!r}")
+    # the CATALOG check above leaves "sinusoid"
+    return sinusoid(args.amplitude, _per_axis(args.wavevector, spec.d, "--wavevector"))
 
 
 # -- Subcommands ---------------------------------------------------------------
@@ -131,24 +121,14 @@ def cmd_run(args) -> int:
     f = _build_function(args, spec)
     report = run_gradient_estimation(f, spec, shots=args.shots, seed=args.seed)
     pred = stationary_phase_sigma(f.hess(spec.x0), spec)
-    rows = []
-    for axis in range(spec.d):
-        rows.append([
-            axis,
-            float(report.true_gradient[axis]),
-            float(report.mode_gradient[axis]),
-            report.success_probability,
-            float(pred.sigma_grad[axis]),
-            float(report.sigma_grad_measured[axis]),
-        ])
-    _write_csv(
-        args.out,
-        [_config_comment(args)],
-        ["axis", "true_gradient", "decoded_mode", "success_prob", "sigma_pred", "sigma_meas"],
-        rows,
-    )
+    rows = zip(range(spec.d), report.true_gradient, report.mode_gradient,
+               [report.success_probability] * spec.d, pred.sigma_grad,
+               report.sigma_grad_measured)
+    columns = {"axis": "%d", "true_gradient": "%.12g", "decoded_mode": "%.12g",
+               "success_prob": "%.12g", "sigma_pred": "%.12g", "sigma_meas": "%.12g"}
+    _write_csv(args.out, [_config_comment(args)], columns, rows)
     print(
-        f"queries=1 mode={report.mode_index.tolist()} "
+        f"queries={report.query_count} mode={report.mode_index.tolist()} "
         f"success_prob={report.success_probability:.6f}",
         file=sys.stderr if args.out == "-" else sys.stdout,
     )
@@ -173,8 +153,9 @@ def _sweep_point(alpha: float, N: int, args):
     return sigma_pred, sigma_meas
 
 
-def _write_sweep(args, column: str, points) -> int:
-    """One CSV row per (value, alpha, N) point; `column` names the swept value.
+def _write_sweep(args, column: str, code: str, points) -> int:
+    """One CSV row per (value, alpha, N) point; `column` names the swept value
+    and `code` is its printf code.
 
     Sweeps run with shots=0, so no random stream is drawn; --seed only enters
     the config header.
@@ -182,22 +163,23 @@ def _write_sweep(args, column: str, points) -> int:
     rows = [[value, *_sweep_point(alpha, N, args)] for value, alpha, N in points]
     comments = [
         _config_comment(args),
-        f"benchmark m={_fmt(args.m)} l={_fmt(SWEEP_L)} fpp=2*m*alpha/l; sigma in lattice units",
+        f"benchmark m={args.m:.12g} l={SWEEP_L:.12g} fpp=2*m*alpha/l; sigma in lattice units",
     ]
-    _write_csv(args.out, comments, [column, "sigma_pred", "sigma_meas"], rows)
+    columns = {column: code, "sigma_pred": "%.12g", "sigma_meas": "%.12g"}
+    _write_csv(args.out, comments, columns, rows)
     return 0
 
 
 def cmd_sweep_n(args) -> int:
     if not args.N:
         raise ValueError("--N must list at least one lattice size")
-    return _write_sweep(args, "N", [(N, args.alpha, N) for N in args.N])
+    return _write_sweep(args, "N", "%d", [(N, args.alpha, N) for N in args.N])
 
 
 def cmd_sweep_alpha(args) -> int:
     if not args.alpha:
         raise ValueError("--alpha must list at least one curvature")
-    return _write_sweep(args, "alpha", [(alpha, alpha, args.N) for alpha in args.alpha])
+    return _write_sweep(args, "alpha", "%.12g", [(alpha, alpha, args.N) for alpha in args.alpha])
 
 
 def cmd_peak2d(args) -> int:
@@ -209,28 +191,26 @@ def cmd_peak2d(args) -> int:
     else:
         H = (spec.m / spec.N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]])
     f = quadratic([0.0, 0.0], H, c=0.0)
-    # the CSV needs only the probabilities: an 8 B/point copy lets the run's
-    # 16 B/point state go before the rows are built
-    flat = run_gradient_estimation(f, spec, shots=0, seed=args.seed).distribution.probs.copy()
+    # the mask comes first, so a bad slack is rejected before the run
     pred = stationary_phase_sigma(H, spec)
-
     signed = signed_index(lattice_points(spec), spec.N)
     inside = support_membership(signed, pred, slack=args.slack_cells)
     inside_outer = support_membership(signed, pred, slack=args.slack_cells_outer)
+    # the CSV needs only the probabilities: an 8 B/point copy lets the run's
+    # 16 B/point state go before the rows are built
+    flat = run_gradient_estimation(f, spec, shots=0, seed=args.seed).distribution.probs.copy()
     mass_inside = float(flat[inside].sum())
     mass_outside = float(flat[~inside_outer].sum())
 
     comments = [
         _config_comment(args),
         f"hessian={json.dumps(H.tolist())}",
-        f"mass_inside_slack_{_fmt(args.slack_cells)}={_fmt(mass_inside)}",
-        f"mass_outside_slack_{_fmt(args.slack_cells_outer)}={_fmt(mass_outside)}",
+        f"mass_inside_slack_{args.slack_cells:.12g}={mass_inside:.12g}",
+        f"mass_outside_slack_{args.slack_cells_outer:.12g}={mass_outside:.12g}",
     ]
-    rows = [
-        [int(signed[i, 0]), int(signed[i, 1]), float(flat[i]), bool(inside[i])]
-        for i in range(flat.size)
-    ]
-    _write_csv(args.out, comments, ["k1", "k2", "prob", "inside_predicted"], rows)
+    rows = zip(signed[:, 0].tolist(), signed[:, 1].tolist(), flat.tolist(), inside.tolist())
+    columns = {"k1": "%d", "k2": "%d", "prob": "%.12g", "inside_predicted": "%d"}
+    _write_csv(args.out, comments, columns, rows)
     print(
         f"mass_inside={mass_inside:.6f} mass_outside={mass_outside:.6f}",
         file=sys.stderr if args.out == "-" else sys.stdout,
@@ -265,18 +245,21 @@ def cmd_compare_classical(args) -> int:
     err_f = float(np.max(np.abs(fwd.gradient_estimate - true)))
     err_c = float(np.max(np.abs(ctr.gradient_estimate - true)))
 
+    # bit_gap and slope_fit are empty on some rows, so they are text columns
     rows = [
-        ["quantum", report.query_count, err_q, bits_quantum, bits_quantum - bits_classical, ""],
-        ["forward", fwd.queries, err_f, bits_classical, "", slope_fwd],
-        ["central", ctr.queries, err_c, bits_classical, "", slope_ctr],
+        ["quantum", report.query_count, err_q, bits_quantum,
+         f"{bits_quantum - bits_classical:.12g}", ""],
+        ["forward", fwd.queries, err_f, bits_classical, "", f"{slope_fwd:.12g}"],
+        ["central", ctr.queries, err_c, bits_classical, "", f"{slope_ctr:.12g}"],
     ]
     comments = [
         _config_comment(args),
-        f"benchmark quadratic g_j=m/N hessian=0.1*m/l*I; theta={_fmt(args.theta)}",
+        f"benchmark quadratic g_j=m/N hessian=0.1*m/l*I; theta={args.theta:.12g}",
         "slope_fit: forward on a pure quadratic, central on a pure cubic",
     ]
-    _write_csv(args.out, comments,
-               ["method", "queries", "err_max", "bits_required", "bit_gap", "slope_fit"], rows)
+    columns = {"method": "%s", "queries": "%d", "err_max": "%.12g", "bits_required": "%.12g",
+               "bit_gap": "%s", "slope_fit": "%s"}
+    _write_csv(args.out, comments, columns, rows)
     return 0
 
 

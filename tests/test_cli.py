@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qgrad import ProblemSpec, stationary_phase_sigma, support_membership
+from qgrad import cli
 from qgrad.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -179,6 +180,34 @@ def test_compare_classical_queries_and_gap(tmp_path):
     assert float(table["forward"][5]) == pytest.approx(1.0, abs=0.1)
 
 
+# --- cell text ---
+
+def test_write_csv_cell_text(tmp_path):
+    floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, float(2 ** 53),
+              np.float64(0.1), np.float32(0.1)]
+    flags = [True, False, np.True_, np.int64(7)]
+    rows = [(f, flags[i % len(flags)], "") for i, f in enumerate(floats)]
+    out = tmp_path / "cells.csv"
+    cli._write_csv(str(out), ["note"], {"x": "%.12g", "n": "%d", "s": "%s"}, rows)
+    assert out.read_text(encoding="utf-8") == (
+        "# note\n"
+        "x,n,s\n"
+        "0,1,\n"
+        "-0,0,\n"
+        "inf,1,\n"
+        "-inf,7,\n"
+        "nan,1,\n"
+        "4.94065645841e-324,0,\n"
+        "1e+16,1,\n"
+        "9.00719925474e+15,7,\n"
+        "0.1,1,\n"
+        "0.10000000149,0,\n"
+    )
+    # every float cell reads format(float(x), ".12g")
+    cells = [ln.split(",")[0] for ln in out.read_text(encoding="utf-8").splitlines()[2:]]
+    assert cells == [format(float(x), ".12g") for x in floats]
+
+
 # --- exit codes and entry points ---
 
 def test_validation_failure_exits_2(tmp_path):
@@ -196,6 +225,13 @@ def test_validation_failure_exits_2(tmp_path):
     assert main(["run", "--shots", "-3", "--out", str(tmp_path / "s.csv")]) == 2
     # an evaluation point that is not finite
     assert main(["run", "--x0", "nan", "--out", str(tmp_path / "n.csv")]) == 2
+
+
+def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("peak2d ran the estimation before checking its slack")
+
+    monkeypatch.setattr("qgrad.cli.run_gradient_estimation", no_run)
     # a membership slack that is not finite and >= 0
     for flag in ("--slack-cells", "--slack-cells-outer"):
         for slack in ("nan", "-5", "inf"):

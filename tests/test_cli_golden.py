@@ -3,6 +3,8 @@
 The SHA-256 values were recorded from the program before the lattice and
 sweep refactor; any change to them means the CLI artifacts changed.  To
 re-record after an intended output change, run this file as a script.
+The "run-negative-zero" case pins a signed-zero cell ("-0"); it was recorded
+before the writer took one printf code per column.
 """
 import hashlib
 import sys
@@ -16,6 +18,11 @@ GOLDEN = {
         ["run", "--d", "2", "--N", "16", "--function", "quadratic",
          "--hessian", "0.2,0.05,0.05,-0.1", "--shots", "100", "--seed", "3"],
         "3357f756eeffc571154e189136bcf1219ae08450603681d22f46617d4eb124a9",
+    ),
+    "run-negative-zero": (
+        ["run", "--function", "linear", "--gradient", "-0", "--N", "8", "--n-o", "5",
+         "--shots", "0"],
+        "0b7ff39ce1ca6df974967ce3039c3a2fcf749be42c2a519f5b56032904867fd3",
     ),
     "sweep-n": (
         ["sweep-n", "--alpha", "0.02", "--N", "16,24,40", "--seed", "5"],
