@@ -227,14 +227,15 @@ def cmd_compare_classical(args) -> int:
     f = quadratic(g, H, c=0.0)
     true = f.grad(spec.x0)
 
-    report = run_gradient_estimation(f, spec, shots=0, seed=args.seed)
-    fwd = forward_difference(f, spec.x0, spec.l)
-    ctr = central_difference(f, spec.x0, spec.l)
-
+    # the precision bits check --theta, so they come before the run
     f_min, f_max = scanned_range(f, spec)
     n_bits_out = math.log2(spec.N)
     bits_classical = classical_precision_bits(f_max, f_min, spec.m, spec.l, n_bits_out)
     bits_quantum = quantum_precision_bits(f_max, f_min, spec.m, spec.l, n_bits_out, args.theta)
+
+    report = run_gradient_estimation(f, spec, shots=0, seed=args.seed)
+    fwd = forward_difference(f, spec.x0, spec.l)
+    ctr = central_difference(f, spec.x0, spec.l)
 
     slope_fwd = error_scaling_fit(quadratic([0.0], [[1.0]]), [0.0],
                                   np.logspace(-2, 0, 8), method="forward").slope

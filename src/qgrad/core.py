@@ -33,11 +33,6 @@ def round_half_up(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
 
-def round_half_down(x) -> np.ndarray:
-    """Nearest integer, ties toward -inf (2.5 -> 2, -2.5 -> -3)."""
-    return np.ceil(np.asarray(x, dtype=float) - 0.5).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """All parameters of one gradient-estimation problem.
@@ -165,12 +160,8 @@ def quantize_output(f_val, spec: ProblemSpec):
     """Fixed-point oracle output: fixed_point(f) reduced mod N_o.
 
     The modular wrap models an n_o-bit register written by modular addition.
-    Returns an int for scalar input.
     """
-    q = fixed_point(f_val, spec) % spec.N_o
-    if np.ndim(f_val) == 0:
-        return int(q)
-    return q
+    return fixed_point(f_val, spec) % spec.N_o
 
 
 def signed_index(k, N: int) -> np.ndarray:
@@ -204,4 +195,5 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
         scaled = spec.N * g / spec.m
     if not np.all(np.abs(scaled) < 2.0 ** 63):
         raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g}")
-    return round_half_down(scaled) % spec.N
+    # ties toward -inf: the negated round-half-up of the negated value
+    return -round_half_up(-scaled) % spec.N

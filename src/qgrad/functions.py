@@ -3,7 +3,8 @@
 Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
-one-dimensional functions.
+one-dimensional functions.  A function declares no range: `scanned_range`
+gives its exact min and max over a lattice.
 """
 from __future__ import annotations
 
@@ -23,9 +24,6 @@ class TestFunction:
     shape (...), and each value must depend only on its own point: the phase
     grid is built by calling it on row-major blocks of at most
     `qsim.BLOCK_POINTS` lattice points.
-
-    f_min/f_max, when set, bound the values over the sampled domain and are
-    checked while building the phase grid.
     """
 
     name: str
@@ -33,11 +31,6 @@ class TestFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    f_min: float | None = None
-    f_max: float | None = None
-
-    def __call__(self, x):
-        return self.eval(x)
 
 
 def _points(x, d: int) -> np.ndarray:

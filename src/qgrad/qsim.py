@@ -51,14 +51,10 @@ def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
 
 @dataclass
 class AmplitudeGrid:
-    """Complex amplitude field over the lattice of `spec`, flat row-major order.
-
-    query_count records how many batched oracle invocations built the grid.
-    """
+    """Complex amplitude field over the lattice of `spec`, flat row-major order."""
 
     spec: ProblemSpec
     amps: np.ndarray
-    query_count: int = 0
 
     def __post_init__(self):
         self.amps = _flat(self.amps, self.spec, complex, "amps")
@@ -97,8 +93,8 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     """Phase grid from one batched oracle query.
 
     amplitude(delta) = N^(-d/2) * exp(i*2*pi*g(delta)/N_o) with
-    g(delta) = quantize_output(f(encode_input(delta))).  Every lattice
-    evaluation belongs to the single superposed query, so query_count = 1.
+    g(delta) = quantize_output(f.eval(encode_input(delta))).  Every lattice
+    evaluation belongs to the single superposed query.
 
     The state is filled in consecutive row-major blocks of at most
     BLOCK_POINTS points: max(1, BLOCK_POINTS // N) whole last-axis lines, or
@@ -106,13 +102,12 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     line heads are enumerated and encoded; the other points copy their
     coordinates from them, which are the same floats.  `f.eval` is called
     once per block, must be vectorized, and must give each point's value
-    from that point alone, not from the rest of the batch.  The declared
-    f_min/f_max and the 2**53 limit of `fixed_point` are checked block by
-    block, and an error reports the offending block's min and max.  When
-    N_o < N^d the phases are looked up in a table of the N_o register
-    values; the table holds the same expression, so both ways give the same
-    amplitudes to the bit.  The state, 16 bytes per point, is the only
-    lattice-sized array built.
+    from that point alone, not from the rest of the batch.  The 2**53 limit
+    of `fixed_point` is checked block by block, and an error reports the
+    offending block's min and max.  When N_o < N^d the phases are looked up
+    in a table of the N_o register values; the table holds the same
+    expression, so both ways give the same amplitudes to the bit.  The
+    state, 16 bytes per point, is the only lattice-sized array built.
     """
     # glibc gives freed heap memory above its trim threshold back to the
     # kernel, so each block would page-fault its temporaries afresh (at d=4,
@@ -125,7 +120,6 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     table = None
     if spec.N_o < spec.size:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
-    check_range = f.f_min is not None or f.f_max is not None
     N = spec.N
     lines = max(1, BLOCK_POINTS // N)
     for head in range(0, spec.size, lines * N):
@@ -134,15 +128,12 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
         for offset in range(0, N, BLOCK_POINTS):
             start, width = head + offset, min(BLOCK_POINTS, N - offset)
             stop = start + n * width
-            values = _evaluate(f, _block_points(spec, start, n, width))
-            if check_range:
-                _check_declared_range(values, f)
-            g = quantize_output(values, spec)
+            g = quantize_output(_evaluate(f, _block_points(spec, start, n, width)), spec)
             if table is None:
                 amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
             else:
                 np.take(table, g, out=amps[start:stop])
-    return AmplitudeGrid(spec, amps, query_count=1)
+    return AmplitudeGrid(spec, amps)
 
 
 def _block_points(spec: ProblemSpec, start: int, lines: int, width: int) -> np.ndarray:
@@ -174,21 +165,10 @@ def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_declared_range(values: np.ndarray, f: TestFunction):
-    scale = max(1.0, abs(f.f_min or 0.0), abs(f.f_max or 0.0))
-    tol = 1e-9 * scale
-    if f.f_min is not None and values.min() < f.f_min - tol:
-        raise ValueError(f"{f.name}: sampled value {values.min()} below declared f_min={f.f_min}")
-    if f.f_max is not None and values.max() > f.f_max + tol:
-        raise ValueError(f"{f.name}: sampled value {values.max()} above declared f_max={f.f_max}")
+def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> AmplitudeGrid:
+    """Unitary N-point forward discrete Fourier transform applied along every axis.
 
-
-def fourier_transform(
-    grid: AmplitudeGrid, direction: str = "forward", *, out: np.ndarray | None = None
-) -> AmplitudeGrid:
-    """Unitary N-point discrete Fourier transform applied along every axis.
-
-    forward: a(delta) -> N^(-d/2) * sum_delta a(delta) exp(-i*2*pi*k.delta/N),
+    a(delta) -> N^(-d/2) * sum_delta a(delta) exp(-i*2*pi*k.delta/N),
     so a planewave exp(+i*2*pi*nu.delta/N) lands on outcome k = nu mod N.
     Works for any N (mixed-radix / Bluestein under the hood).
 
@@ -205,14 +185,8 @@ def fourier_transform(
         out = np.empty(spec.shape, dtype=complex)
     else:
         out = out.reshape(spec.shape, copy=False)
-    if direction == "forward":
-        np.fft.fftn(a, out=out)
-        out /= scale
-    elif direction == "inverse":
-        np.fft.ifftn(a, out=out)
-        out *= scale
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    np.fft.fftn(a, out=out)
+    out /= scale
     return replace(grid, amps=out.reshape(-1))
 
 
@@ -398,6 +372,7 @@ class GradientEstimationReport:
     The run works in one state buffer, so `distribution.probs` is a float64
     view of the first N**d * 8 bytes of the complex128 state (16 bytes per
     point), which lives as long as the report holds the distribution.
+    query_count is 1 for every run: the build's blocks are one superposed query.
     """
 
     spec: ProblemSpec
@@ -436,8 +411,7 @@ def run_gradient_estimation(
     # the run owns its state: the transform, the probabilities and the
     # statistics all work in the one buffer the build fills
     grid = build_phase_state(f, spec)
-    grid = fourier_transform(grid, "forward", out=grid.amps)
-    query_count = grid.query_count
+    grid = fourier_transform(grid, out=grid.amps)
     dist = outcome_distribution(grid, out=grid.amps.view(float)[: spec.size])
 
     flat_mode = int(np.argmax(dist.probs))
@@ -466,7 +440,7 @@ def run_gradient_estimation(
         samples=draws,
         circular_mean_k=means,
         circular_variance_k=variances,
-        query_count=query_count,
+        query_count=1,
     )
 
 

@@ -8,7 +8,7 @@ from qgrad import AmplitudeGrid, ProblemSpec, TestFunction, fixed_point, lattice
 BRUTE_FORCE_MAX_POINTS = 4096
 
 
-def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> AmplitudeGrid:
+def brute_force_transform(grid: AmplitudeGrid) -> AmplitudeGrid:
     """Direct double-sum evaluation of the same transform, O(N^2d).
 
     Independent of the fast path; used as an oracle to validate it.  Guarded
@@ -17,18 +17,12 @@ def brute_force_transform(grid: AmplitudeGrid, direction: str = "forward") -> Am
     spec = grid.spec
     if spec.size > BRUTE_FORCE_MAX_POINTS:
         raise ValueError(f"brute-force transform limited to {BRUTE_FORCE_MAX_POINTS} points, got {spec.size}")
-    if direction == "forward":
-        sign = -1.0
-    elif direction == "inverse":
-        sign = 1.0
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     coords = lattice_points(spec)
     out = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
     for i in range(spec.size):
         dots = coords @ coords[i]
-        out[i] = np.sum(grid.amps * np.exp(sign * 2j * np.pi * dots / spec.N)) / scale
+        out[i] = np.sum(grid.amps * np.exp(-2j * np.pi * dots / spec.N)) / scale
     return replace(grid, amps=out)
 
 

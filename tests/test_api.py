@@ -1,4 +1,7 @@
-"""The public API: adding or removing a name from `qgrad` is a deliberate edit here."""
+"""The public API: adding or removing a name, a field or a parameter is a deliberate edit here."""
+import inspect
+from dataclasses import fields
+
 import qgrad
 
 PUBLIC = {
@@ -23,3 +26,16 @@ def test_public_api_is_pinned():
     assert len(qgrad.__all__) == len(PUBLIC)  # no name listed twice
     for name in PUBLIC:
         assert hasattr(qgrad, name), name
+
+
+def test_single_form_types_are_pinned():
+    # a function is its callbacks, with no declared range and no call shortcut
+    assert [f.name for f in fields(qgrad.TestFunction)] == ["name", "d", "eval", "grad", "hess"]
+    assert "__call__" not in vars(qgrad.TestFunction)
+    assert [f.name for f in fields(qgrad.AmplitudeGrid)] == ["spec", "amps"]
+    # forward only; `out` is keyword-only
+    params = inspect.signature(qgrad.fourier_transform).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("grid", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("out", inspect.Parameter.KEYWORD_ONLY),
+    ]

@@ -240,6 +240,18 @@ def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
             assert not out.exists()
 
 
+def test_compare_classical_rejects_bad_theta_before_the_run(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("compare-classical ran the estimation before checking --theta")
+
+    monkeypatch.setattr("qgrad.cli.run_gradient_estimation", no_run)
+    # quantum_precision_bits takes theta in (0, 2*pi]
+    for theta in ("0", "-1", "nan", "7"):
+        out = tmp_path / "c.csv"
+        assert main(["compare-classical", "--d", "2", "--N", "8", "--theta", theta, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run", "--bogus"])

@@ -12,26 +12,19 @@ from qgrad import (
     quantize_output,
     round_half_up,
 )
-from qgrad.core import round_half_down
 
 
 def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
     return ProblemSpec(d=1, N=N, n_o=n_o, l=l, m=m, x0=x0)
 
 
-# --- Rounding conventions (centralized, ties toward +inf / -inf) ---
+# --- Rounding convention (centralized, ties toward +inf) ---
 
 def test_round_half_up_ties():
     assert round_half_up(2.5) == 3
     assert round_half_up(-2.5) == -2
     assert round_half_up(3.2) == 3
     assert round_half_up(-0.5) == 0
-
-
-def test_round_half_down_ties():
-    assert round_half_down(2.5) == 2
-    assert round_half_down(-2.5) == -3
-    assert round_half_down(0.5) == 0
 
 
 # --- encode_input: x = x0 + (l/N)(delta - N/2) ---
@@ -189,6 +182,13 @@ def test_nearest_index_tie_goes_negative():
     spec = spec_1d(N=8, m=1.0)
     assert nearest_lattice_index([1.5 / 8], spec) == [1]
     assert nearest_lattice_index([-1.5 / 8], spec) == [8 - 2]
+    # N = m, so the scaled gradient N*g/m is g itself
+    spec = spec_1d(N=8, m=8.0)
+    for g, k in ((2.5, 2), (-2.5, -3), (0.5, 0), (-0.5, -1), (3.2, 3), (-3.7, -4)):
+        assert nearest_lattice_index([g], spec) == [k % 8]
+    big = 2.0 ** 63 - 1024  # the largest float64 below 2**63
+    assert nearest_lattice_index([big], spec) == [int(big) % 8]
+    assert nearest_lattice_index([-big], spec) == [-int(big) % 8]
 
 
 def test_nearest_index_rejects_unrepresentable_gradient():

@@ -1,5 +1,4 @@
 """Tests for the analytic test-function catalog, including the self-consistency gate."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,11 +155,3 @@ def test_scanned_range_linear_exact():
     lo, hi = scanned_range(f, spec)
     assert lo == pytest.approx(2.0 * -0.5)   # lowest lattice point
     assert hi == pytest.approx(2.0 * (0.5 - 1.0 / 16))
-
-
-def test_with_scanned_range_attaches_bounds():
-    spec = ProblemSpec(d=2, N=8, n_o=4, l=1.0, m=1.0)
-    f = quadratic([0.1, 0.0], np.eye(2))
-    lo, hi = scanned_range(f, spec)
-    f = replace(f, f_min=lo, f_max=hi)
-    assert f.f_min is not None and f.f_max is not None and f.f_max > f.f_min
