@@ -182,7 +182,10 @@ def test_nearest_index_tie_goes_negative():
     spec = spec_1d(N=8, m=1.0)
     assert nearest_lattice_index([1.5 / 8], spec) == [1]
     assert nearest_lattice_index([-1.5 / 8], spec) == [8 - 2]
-    # N = m, so the scaled gradient N*g/m is g itself
+
+
+def test_round_half_down_ties():
+    # nearest_lattice_index rounds N*g/m half down; with N = m that is g itself
     spec = spec_1d(N=8, m=8.0)
     for g, k in ((2.5, 2), (-2.5, -3), (0.5, 0), (-0.5, -1), (3.2, 3), (-3.7, -4)):
         assert nearest_lattice_index([g], spec) == [k % 8]
