@@ -37,8 +37,6 @@ from .qsim import (
     circular_mean,
     circular_variance,
     fourier_transform,
-    ideal_planewave,
-    ideal_state_fidelity,
     outcome_distribution,
     run_gradient_estimation,
     sample,
@@ -88,8 +86,6 @@ __all__ = [
     "outcome_distribution",
     "sample",
     "run_gradient_estimation",
-    "ideal_planewave",
-    "ideal_state_fidelity",
     "apply_phase_error",
     "circular_mean",
     "circular_variance",

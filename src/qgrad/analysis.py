@@ -38,7 +38,6 @@ class SigmaPrediction:
     sigma_k: np.ndarray
     sigma_grad: np.ndarray
     support_matrix: np.ndarray
-    spec: ProblemSpec
 
     @property
     def support_volume(self) -> float:
@@ -62,28 +61,29 @@ def stationary_phase_sigma(H, spec: ProblemSpec) -> SigmaPrediction:
     row_norms = np.sqrt((H ** 2).sum(axis=1))
     sigma_grad = spec.l / (2.0 * math.sqrt(3.0)) * row_norms
     sigma_k = (spec.N / spec.m) * sigma_grad
-    return SigmaPrediction(sigma_k=sigma_k, sigma_grad=sigma_grad, support_matrix=A, spec=spec)
+    return SigmaPrediction(sigma_k=sigma_k, sigma_grad=sigma_grad, support_matrix=A)
 
 
-def support_membership(k, prediction: SigmaPrediction, slack: float = 1.5):
-    """Whether signed frequency k lies in the predicted region, up to `slack` cells.
+def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarray:
+    """Whether each signed frequency k lies in the predicted region, up to `slack` cells.
 
-    Solves A*u = k (pseudo-inverse, so rank-deficient A degenerates to the
-    supported subspace), clamps u to the unit cube, and maps the violation
-    back through A: membership means the nearest in-region point, measured in
+    k has shape (..., d), or is a scalar when d = 1; the result is a bool
+    array of shape np.shape(k)[:-1], 0-d for one point.  Solves A*u = k
+    (pseudo-inverse, so rank-deficient A degenerates to the supported
+    subspace), clamps u to the unit cube, and maps the violation back
+    through A: membership means the nearest in-region point, measured in
     lattice cells, is at most `slack` away in max-norm.  The slack must be
     finite and >= 0.
     """
     if not 0 <= slack < np.inf:
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
     A = prediction.support_matrix
-    k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    squeeze = k_arr.ndim == 1
-    pts = np.atleast_2d(k_arr)
+    pts = np.asarray(k, dtype=float)
+    if pts.ndim == 0:
+        pts = pts.reshape(1)
     u = pts @ np.linalg.pinv(A).T
     nearest = np.clip(u, -0.5, 0.5) @ A.T
-    inside = np.max(np.abs(nearest - pts), axis=-1) <= slack + 1e-12
-    return bool(inside[0]) if squeeze else inside
+    return np.asarray(np.max(np.abs(nearest - pts), axis=-1) <= slack + 1e-12)
 
 
 def classical_precision_bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:

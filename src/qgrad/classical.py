@@ -17,7 +17,6 @@ from .functions import TestFunction
 class ClassicalReport:
     gradient_estimate: np.ndarray
     queries: int
-    l_used: float
 
 
 def _stencil_center(x, l: float) -> np.ndarray:
@@ -39,7 +38,7 @@ def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
         shifted = x.copy()
         shifted[i] += l
         grad[i] = (float(f.eval(shifted)) - f0) / l
-    return ClassicalReport(gradient_estimate=grad, queries=x.size + 1, l_used=l)
+    return ClassicalReport(gradient_estimate=grad, queries=x.size + 1)
 
 
 def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
@@ -55,7 +54,7 @@ def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
         hi[i] += l / 2.0
         lo[i] -= l / 2.0
         grad[i] = (float(f.eval(hi)) - float(f.eval(lo))) / l
-    return ClassicalReport(gradient_estimate=grad, queries=2 * x.size, l_used=l)
+    return ClassicalReport(gradient_estimate=grad, queries=2 * x.size)
 
 
 @dataclass

@@ -43,7 +43,10 @@ class ProblemSpec:
     n_o   output-register bits, 1..MAX_N_O; the modular ring has N_o = 2**n_o elements
     l     side length of the sampled hypercube centered at x0
     m     width of the interval bounding each gradient component
-    x0    evaluation point, finite (defaults to the origin)
+    x0    evaluation point, finite (defaults to the origin); stored as a
+          read-only copy
+
+    A spec is a value: it compares and hashes by its parameters, x0 included.
     """
 
     d: int
@@ -71,12 +74,24 @@ class ProblemSpec:
                 f"lattice size N**d = {self.N}**{self.d} exceeds the budget "
                 f"of {MAX_POINTS} points"
             )
-        x0 = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        x0 = np.zeros(self.d) if self.x0 is None else np.array(self.x0, dtype=float)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be finite, got {x0}")
+        x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
+
+    def _key(self) -> tuple:
+        return (self.d, self.N, self.n_o, self.l, self.m, tuple(self.x0.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def N_o(self) -> int:

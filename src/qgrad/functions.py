@@ -33,6 +33,17 @@ class TestFunction:
     hess: Callable[[np.ndarray], np.ndarray]
 
 
+def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
+    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
+    values = np.asarray(f.eval(points), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise ValueError(
+            f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
+            f"of shape {values.shape}, expected {points.shape[:-1]}"
+        )
+    return values
+
+
 def _points(x, d: int) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0:
@@ -100,21 +111,19 @@ def cubic_1d(a3: float) -> TestFunction:
     return TestFunction(name="cubic_1d", d=1, eval=ev, grad=gr, hess=he)
 
 
-def sinusoid(amplitude: float, wavevector, phase: float = 0.0) -> TestFunction:
-    """f(x) = amplitude * sin(k.x + phase) with wavevector k."""
+def sinusoid(amplitude: float, wavevector) -> TestFunction:
+    """f(x) = amplitude * sin(k.x) with wavevector k."""
     k = np.atleast_1d(np.asarray(wavevector, dtype=float))
     d = k.size
 
     def ev(x):
-        return amplitude * np.sin(_points(x, d) @ k + phase)
+        return amplitude * np.sin(_points(x, d) @ k)
 
     def gr(x):
-        s = _points(x, d) @ k + phase
-        return amplitude * np.cos(s)[..., None] * k
+        return amplitude * np.cos(_points(x, d) @ k)[..., None] * k
 
     def he(x):
-        s = _points(x, d) @ k + phase
-        return -amplitude * np.sin(s)[..., None, None] * np.outer(k, k)
+        return -amplitude * np.sin(_points(x, d) @ k)[..., None, None] * np.outer(k, k)
 
     return TestFunction(name="sinusoid", d=d, eval=ev, grad=gr, hess=he)
 
@@ -128,6 +137,9 @@ CATALOG: dict[str, Callable[..., TestFunction]] = {
 
 
 def scanned_range(fn: TestFunction, spec: ProblemSpec):
-    """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain."""
-    values = fn.eval(encode_input(lattice_points(spec), spec))
+    """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain.
+
+    `eval` is held to the same contract as in the phase-grid build.
+    """
+    values = _evaluate(fn, encode_input(lattice_points(spec), spec))
     return float(np.min(values)), float(np.max(values))

@@ -32,7 +32,7 @@ from .core import (
     nearest_lattice_index,
     quantize_output,
 )
-from .functions import TestFunction
+from .functions import TestFunction, _evaluate
 
 # Lattice points per block of the phase-grid build, of |amps|^2, of sampling
 # and of the d=1 variance (a build block is the whole last-axis lines that fit,
@@ -77,16 +77,17 @@ class OutcomeDistribution:
         return self.probs.reshape(self.spec.shape)
 
     def marginal(self, axis: int) -> np.ndarray:
-        """Marginal probability over a single axis, shape (N,).
+        """Marginal probability over axis 0 <= axis < d, shape (N,), read-only.
 
-        For d = 1 this is a read-only view of `probs`, not a copy.
+        For d = 1 this is a view of `probs`, not a copy.
         """
+        axis = _integer("axis", axis)
+        if not 0 <= axis < self.spec.d:
+            raise ValueError(f"axis must lie in [0, {self.spec.d}), got {axis}")
         other = tuple(i for i in range(self.spec.d) if i != axis)
-        if other:
-            return self.reshaped().sum(axis=other)
-        view = self.probs.view()
-        view.flags.writeable = False
-        return view
+        marginal = self.reshaped().sum(axis=other) if other else self.probs.view()
+        marginal.flags.writeable = False
+        return marginal
 
 
 def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
@@ -110,10 +111,16 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     state, 16 bytes per point, is the only lattice-sized array built.
     """
     # glibc gives freed heap memory above its trim threshold back to the
-    # kernel, so each block would page-fault its temporaries afresh (at d=4,
-    # N=48 about 123k faults, a third of the build).  The threshold follows
-    # the largest mmapped chunk freed so far: freeing one chunk the size of
-    # four (block, d) float64 arrays raises it above a block's temporaries.
+    # kernel, and the threshold follows the largest mmapped chunk freed so far:
+    # freeing one chunk the size of four (block, d) float64 arrays raises it
+    # above a block's temporaries for the rest of the process.  One large build
+    # barely notices (d=4, N=48: 0.7-1.0 s either way, 593 against 1,713 minor
+    # faults); many small runs in one process fault far less: a pass of
+    # perfbench's cli_studies (128 small estimations) takes about 10-250 minor
+    # faults with this line and about 6,200 without it, in the same time within
+    # noise (2-vCPU Xeon, Python 3.11, numpy 2.4).  tracemalloc counts the
+    # chunk, so it also sets that pass's traced peak: 16.9 MB with the line,
+    # 14.4 MB without.
     np.empty(4 * 8 * spec.d * min(spec.size, BLOCK_POINTS), dtype=np.uint8)
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
@@ -152,17 +159,6 @@ def _block_points(spec: ProblemSpec, start: int, lines: int, width: int) -> np.n
     points[:, :, :-1] = heads[:, None, :-1]
     points[:, :, -1] = first[:, -1]
     return points.reshape(-1, spec.d)
-
-
-def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
-    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
-    values = np.asarray(f.eval(points), dtype=float)
-    if values.shape != points.shape[:-1]:
-        raise ValueError(
-            f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
-            f"of shape {values.shape}, expected {points.shape[:-1]}"
-        )
-    return values
 
 
 def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> AmplitudeGrid:
@@ -277,15 +273,15 @@ def wrap_signed(delta_k, N: int) -> np.ndarray:
     return (np.asarray(delta_k, dtype=float) + N / 2.0) % N - N / 2.0
 
 
-def _weights(probs, N: int) -> tuple[np.ndarray, float]:
-    """The weights as float64 (a view when they already are) and their sum."""
+def _weights(probs) -> tuple[np.ndarray, int, float]:
+    """The weights as float64 (a view when they already are), their count N and their sum."""
     w = np.asarray(probs, dtype=float)
-    if N < 1 or w.shape != (N,):
-        raise ValueError(f"weights have shape {w.shape}, expected ({N},) with N >= 1")
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"weights have shape {w.shape}, expected (N,) with N >= 1")
     total = float(w.sum())
     if not (np.isfinite(total) and total != 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite nonzero sum")
-    return w, total
+    return w, w.size, total
 
 
 def _resultant(w: np.ndarray, N: int) -> complex:
@@ -309,14 +305,14 @@ def _resultant(w: np.ndarray, N: int) -> complex:
     return complex(np.sum(outer * (rows[:, 0] + 1j * rows[:, 1])) + np.sum(w[R * B:] * tail))
 
 
-def circular_mean(probs, N: int) -> float:
-    """Mean lattice position of a weight vector over [0, N), via the resultant.
+def circular_mean(probs) -> float:
+    """Mean lattice position of a weight vector of length N over [0, N), via the resultant.
 
     Undefined (returns 0.0) when the resultant vanishes, e.g. for the uniform
     distribution.  Takes O(N) additions and O(sqrt(N)) transcendental calls,
     and allocates nothing of length N.
     """
-    w, total = _weights(probs, N)
+    w, N, total = _weights(probs)
     z = _resultant(w, N) / total
     if abs(z) < 1e-15:
         return 0.0
@@ -325,27 +321,27 @@ def circular_mean(probs, N: int) -> float:
     return 0.0 if mean == N else float(mean)
 
 
-def circular_variance(probs, N: int, mean: float | None = None) -> float:
-    """Wrapped second moment (k^2 units) about the circular mean.
+def circular_variance(probs, mean: float) -> float:
+    """Wrapped second moment (k^2 units) of a weight vector of length N about `mean`.
 
     The deviations are wrap_signed(k - mean, N), computed in blocks of at
-    most BLOCK_POINTS entries, so nothing of length N is allocated.  A given
-    mean must be finite with |mean| + 2N < 2**52.
+    most BLOCK_POINTS entries, so nothing of length N is allocated.  The
+    mean, usually `circular_mean(probs)`, must be finite with
+    |mean| + 2N < 2**52.
     """
-    w, total = _weights(probs, N)
-    mu = circular_mean(w, N) if mean is None else mean
-    if not abs(mu) + 2 * N < 2.0 ** 52:
-        raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mu} for N={N}")
+    w, N, total = _weights(probs)
+    if not abs(mean) + 2 * N < 2.0 ** 52:
+        raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mean} for N={N}")
     # while |mean| + 2N < 2**52, x = (k - mean) + N/2 is sorted and spans less
     # than N, so x mod N is x - j*N below (j + 1)*N and x - (j + 1)*N from
     # there on, j = floor(x[0] / N) (a float over an integer never rounds onto
     # an integer it is not): the values np.remainder gives, from two cheap
     # slices of each block instead of a modulo
-    j = np.floor(((0.0 - mu) + N / 2.0) / N)
+    j = np.floor(((0.0 - mean) + N / 2.0) / N)
     second = 0.0
     for start in range(0, N, BLOCK_POINTS):
         x = np.arange(start, min(start + BLOCK_POINTS, N), dtype=float)
-        x -= mu
+        x -= mean
         x += N / 2.0
         split = np.searchsorted(x, (j + 1) * N)
         x[:split] -= j * N
@@ -396,6 +392,11 @@ class GradientEstimationReport:
         return (self.spec.m / self.spec.N) * self.sigma_k_measured
 
 
+def _gradient_in_range(g: np.ndarray, spec: ProblemSpec) -> bool:
+    """Every component in [-m/2, m/2), the range a measured outcome can decode to."""
+    return bool(np.all(g >= -spec.m / 2.0) and np.all(g < spec.m / 2.0))
+
+
 def run_gradient_estimation(
     f: TestFunction, spec: ProblemSpec, shots: int = 1000, seed: int = 0
 ) -> GradientEstimationReport:
@@ -424,8 +425,8 @@ def run_gradient_estimation(
     variances = np.empty(spec.d)
     for axis in range(spec.d):
         marginal = dist.marginal(axis)
-        means[axis] = circular_mean(marginal, spec.N)
-        variances[axis] = circular_variance(marginal, spec.N, mean=means[axis])
+        means[axis] = circular_mean(marginal)
+        variances[axis] = circular_variance(marginal, means[axis])
 
     draws = sample(dist, shots, seed) if shots > 0 else np.empty((0, spec.d), dtype=np.int64)
 
@@ -444,37 +445,7 @@ def run_gradient_estimation(
     )
 
 
-# -- Ideal-state comparison ---------------------------------------------------
-
-
-def ideal_planewave(gradient, spec: ProblemSpec) -> AmplitudeGrid:
-    """Exact linearized planewave state for a given gradient (unquantized).
-
-    amplitude(delta) = N^(-d/2) * exp(i*2*pi*sum_j gradient_j*delta_j/m).
-    """
-    g = np.atleast_1d(np.asarray(gradient, dtype=float)).reshape(spec.d)
-    phases = lattice_points(spec) @ (g / spec.m)
-    amps = np.exp(2j * np.pi * phases) / spec.N ** (spec.d / 2.0)
-    return AmplitudeGrid(spec, amps)
-
-
-def _gradient_in_range(g: np.ndarray, spec: ProblemSpec) -> bool:
-    """Every component in [-m/2, m/2), the range a measured outcome can decode to."""
-    return bool(np.all(g >= -spec.m / 2.0) and np.all(g < spec.m / 2.0))
-
-
-def ideal_state_fidelity(grid: AmplitudeGrid, true_gradient) -> float:
-    """|<ideal|actual>| against the exact planewave for `true_gradient`.
-
-    Bounded phase errors of at most theta per point keep this at cos(theta)
-    or above, hence success probability at least cos^2(theta).
-    """
-    spec = grid.spec
-    g = np.atleast_1d(np.asarray(true_gradient, dtype=float)).reshape(spec.d)
-    if not _gradient_in_range(g, spec):
-        raise ValueError(f"true_gradient components must lie in [-m/2, m/2) = [{-spec.m / 2}, {spec.m / 2})")
-    ideal = ideal_planewave(g, spec)
-    return float(abs(np.vdot(ideal.amps, grid.amps)))
+# -- Phase errors -------------------------------------------------------------
 
 
 def apply_phase_error(grid: AmplitudeGrid, errors) -> AmplitudeGrid:

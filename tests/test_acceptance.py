@@ -19,8 +19,6 @@ from qgrad import (
     error_scaling_fit,
     forward_difference,
     fourier_transform,
-    ideal_planewave,
-    ideal_state_fidelity,
     linear,
     outcome_distribution,
     quadratic,
@@ -30,7 +28,7 @@ from qgrad import (
     stationary_phase_sigma,
     support_membership,
 )
-from oracles import brute_force_transform
+from oracles import brute_force_transform, ideal_planewave, ideal_state_fidelity
 
 
 @contextmanager

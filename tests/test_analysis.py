@@ -112,6 +112,18 @@ def test_membership_vectorized():
     assert flags.tolist() == [True, False]
 
 
+def test_membership_has_one_return_type():
+    # a bool array of shape np.shape(k)[:-1], 0-d for one point
+    spec = ProblemSpec(d=2, N=10, n_o=4, l=1.0, m=1.0)
+    pred = stationary_phase_sigma((2.0 * spec.m) / (spec.N * spec.l) * np.eye(2), spec)
+    for k in ([0.0, 0.0], np.zeros((3, 2)), np.zeros((2, 4, 2))):
+        flags = support_membership(k, pred, slack=0.0)
+        assert isinstance(flags, np.ndarray) and flags.dtype == bool
+        assert flags.shape == np.shape(k)[:-1]
+    one_d = stationary_phase_sigma([[0.5]], ProblemSpec(d=1, N=10, n_o=4, l=1.0, m=1.0))
+    assert support_membership(0.0, one_d, slack=0.0).shape == ()
+
+
 def test_membership_rejects_unusable_slack():
     # a NaN or negative slack put every point outside the region
     pred = stationary_phase_sigma(0.01 * np.eye(2), spec_for(d=2))

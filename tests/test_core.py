@@ -248,6 +248,24 @@ def test_spec_x0_default_and_shape():
         ProblemSpec(d=3, N=4, n_o=2, l=1.0, m=1.0, x0=[1.0, 2.0])
 
 
+def test_spec_is_a_value():
+    # the spec keeps its own read-only copy of x0, and compares and hashes by value
+    x0 = np.array([0.1, 0.2])
+    spec = ProblemSpec(d=2, N=8, n_o=4, l=1.0, m=1.0, x0=x0)
+    before = encode_input([3, 5], spec)
+    x0[0] = 9.0
+    assert spec.x0.tolist() == [0.1, 0.2]
+    assert np.array_equal(encode_input([3, 5], spec), before)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.x0[1] = -5.0
+    same = ProblemSpec(d=2, N=8, n_o=4, l=1.0, m=1.0, x0=[0.1, 0.2])
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same}) == 1
+    assert spec != ProblemSpec(d=2, N=8, n_o=4, l=1.0, m=1.0, x0=[0.1, 0.3])
+    assert spec != ProblemSpec(d=2, N=8, n_o=5, l=1.0, m=1.0, x0=[0.1, 0.2])
+    assert spec != (2, 8, 4, 1.0, 1.0, (0.1, 0.2))
+
+
 def test_spec_derived_quantities():
     spec = ProblemSpec(d=2, N=6, n_o=4, l=1.0, m=1.0)
     assert spec.N_o == 16

@@ -1,4 +1,5 @@
 """Tests for the analytic test-function catalog, including the self-consistency gate."""
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qgrad import (
     CATALOG,
     ProblemSpec,
+    build_phase_state,
     cubic_1d,
     linear,
     quadratic,
@@ -23,7 +25,7 @@ def catalog_instances():
         quadratic(rng.normal(size=3), H + H.T, c=0.3),
         quadratic([0.0], [[0.7]], c=-1.0),
         cubic_1d(0.8),
-        sinusoid(1.3, [0.9, -0.4], phase=0.2),
+        sinusoid(1.3, [0.9, -0.4]),
         sinusoid(1.0, [2.0]),
     ]
 
@@ -155,3 +157,13 @@ def test_scanned_range_linear_exact():
     lo, hi = scanned_range(f, spec)
     assert lo == pytest.approx(2.0 * -0.5)   # lowest lattice point
     assert hi == pytest.approx(2.0 * (0.5 - 1.0 / 16))
+
+
+def test_scanned_range_holds_eval_to_the_build_contract():
+    # an eval that is not vectorized is rejected as the phase-grid build rejects it
+    spec = ProblemSpec(d=1, N=16, n_o=4, l=1.0, m=1.0)
+    scalar = replace(linear([0.0]), eval=lambda x: 1.0)
+    with pytest.raises(ValueError, match="eval must be vectorized"):
+        scanned_range(scalar, spec)
+    with pytest.raises(ValueError, match="eval must be vectorized"):
+        build_phase_state(scalar, spec)

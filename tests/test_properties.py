@@ -19,8 +19,6 @@ from qgrad import (
     encode_input,
     fixed_point,
     fourier_transform,
-    ideal_planewave,
-    ideal_state_fidelity,
     lattice_points,
     nearest_lattice_index,
     qsim,
@@ -28,6 +26,7 @@ from qgrad import (
     quantize_output,
     wrap_signed,
 )
+from oracles import ideal_planewave, ideal_state_fidelity
 
 FAST = settings(max_examples=50, deadline=None)
 
@@ -228,10 +227,10 @@ def weight_vectors(draw):
 @given(weight_vectors())
 def test_circular_stats_match_the_direct_formulas(case):
     N, w = case
-    mean = circular_mean(w, N)
+    mean = circular_mean(w)
     assert_means_agree(mean, direct_circular_mean(w, N), N)
     expected = direct_circular_variance(w, N, direct_circular_mean(w, N))
-    assert circular_variance(w, N) == pytest.approx(expected, rel=1e-12, abs=(1e-12 * N) ** 2)
+    assert circular_variance(w, mean) == pytest.approx(expected, rel=1e-12, abs=(1e-12 * N) ** 2)
 
 
 @FAST
@@ -245,7 +244,7 @@ def test_circular_variance_about_any_given_mean(case, frac, block):
     mean = frac * N
     expected = direct_circular_variance(w, N, mean)
     with mock.patch.object(qsim, "BLOCK_POINTS", block):
-        assert circular_variance(w, N, mean=mean) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert circular_variance(w, mean) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -254,6 +253,6 @@ def test_point_mass_at_every_k(N):
     for k in range(N):
         w = np.zeros(N)
         w[k] = 1.0
-        mean = circular_mean(w, N)
+        mean = circular_mean(w)
         assert_means_agree(mean, k, N)
-        assert circular_variance(w, N, mean=mean) <= (1e-12 * N) ** 2
+        assert circular_variance(w, mean) <= (1e-12 * N) ** 2

@@ -19,8 +19,6 @@ from qgrad import (
     circular_variance,
     encode_input,
     fourier_transform,
-    ideal_planewave,
-    ideal_state_fidelity,
     lattice_points,
     linear,
     outcome_distribution,
@@ -33,7 +31,7 @@ from qgrad import (
     wrap_signed,
 )
 from qgrad.qsim import BLOCK_POINTS
-from oracles import brute_force_transform, choice_draws
+from oracles import brute_force_transform, choice_draws, ideal_planewave, ideal_state_fidelity
 
 
 def lattice(d, N):
@@ -234,8 +232,24 @@ def test_1d_circular_statistics_read_the_distribution_in_place():
 
     def stats():
         m = dist.marginal(0)
-        circular_variance(m, spec.N, mean=circular_mean(m, spec.N))
+        circular_variance(m, circular_mean(m))
     assert _traced_peak(stats) <= 2 * 2 ** 20  # block temporaries only, whatever N is
+
+
+def test_marginal_axis_must_name_a_lattice_axis():
+    # at d=2 an axis outside [0, d) once summed over every axis, giving the total mass
+    spec = ProblemSpec(d=2, N=8, n_o=8, l=1.0, m=1.0)
+    dist = outcome_distribution(fourier_transform(build_phase_state(linear([0.125, -0.25]), spec)))
+    for axis in (-1, 2, 5):
+        with pytest.raises(ValueError, match="axis"):
+            dist.marginal(axis)
+    for axis in (1.0, True, "0"):
+        with pytest.raises(ValueError, match="integer"):
+            dist.marginal(axis)
+    for axis in range(spec.d):
+        marginal = dist.marginal(np.int64(axis))
+        assert marginal.shape == (spec.N,) and not marginal.flags.writeable
+        assert np.array_equal(marginal, dist.reshaped().sum(axis=1 - axis))
 
 
 def test_run_calls_each_stage_through_qsim_globals(monkeypatch):
@@ -439,46 +453,45 @@ def test_wrap_signed_shorter_arc():
 def test_circular_stats_point_mass():
     probs = np.zeros(16)
     probs[5] = 1.0
-    assert circular_mean(probs, 16) == pytest.approx(5.0)
-    assert circular_variance(probs, 16) == pytest.approx(0.0, abs=1e-20)
+    assert circular_mean(probs) == pytest.approx(5.0)
+    assert circular_variance(probs, circular_mean(probs)) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_circular_mean_never_returns_N():
     # the resultant's angle is a tiny negative number, which % N rounds to N
     probs = np.zeros(16)
     probs[0], probs[15] = 1.0, 1e-18
-    assert circular_mean(probs, 16) == 0.0
-    assert circular_variance(probs, 16) == pytest.approx(1e-18)
+    assert circular_mean(probs) == 0.0
+    assert circular_variance(probs, circular_mean(probs)) == pytest.approx(1e-18)
 
 
 def test_circular_stats_reject_unusable_weights():
-    # the wrong shape, or a sum that cannot normalize them
+    # not one axis of at least one weight, or a sum that cannot normalize them
     signed = np.tile([1.0, -1.0], 8)
     with_inf = np.ones(16)
     with_inf[3] = np.inf
     with_nan = np.ones(16)
     with_nan[3] = np.nan
-    cases = ((np.ones(15), 16), (np.ones((4, 4)), 16), (np.ones(0), 0),
-             (np.zeros(16), 16), (signed, 16), (with_inf, 16), (with_nan, 16))
-    for stat in (circular_mean, circular_variance):
-        for w, N in cases:
+    cases = (np.ones((4, 4)), np.ones(0), np.zeros(16), signed, with_inf, with_nan)
+    for stat in (circular_mean, lambda w: circular_variance(w, 0.0)):
+        for w in cases:
             with pytest.raises(ValueError, match="expected"):
-                stat(w, N)
+                stat(w)
     # a given mean past the |mean| + 2N < 2**52 limit of exact wrapping
     point = np.zeros(8)
     point[3] = 1.0
     for mean in (2.0 ** 60, -2.0 ** 60, np.inf, np.nan):
         with pytest.raises(ValueError, match="mean"):
-            circular_variance(point, 8, mean=mean)
+            circular_variance(point, mean)
 
 
 def test_circular_stats_straddle_the_wrap():
     # equal mass on k=0 and k=15: mean sits at 15.5, each point 0.5 away
     probs = np.zeros(16)
     probs[0] = probs[15] = 0.5
-    mu = circular_mean(probs, 16)
+    mu = circular_mean(probs)
     assert mu == pytest.approx(15.5)
-    assert circular_variance(probs, 16) == pytest.approx(0.25)
+    assert circular_variance(probs, mu) == pytest.approx(0.25)
 
 
 # --- end-to-end runs ---
