@@ -101,8 +101,7 @@ def quantum_precision_bits(
     requirement coincides with the classical one.
     """
     _check_range(f_max, f_min, m, l)
-    if not 0.0 < theta <= 2.0 * math.pi:
-        raise ValueError(f"theta must be in (0, 2*pi], got {theta}")
+    _check_theta(theta)
     return math.log2((f_max - f_min) * 2.0 ** n / (m * l * theta / (2.0 * math.pi)))
 
 
@@ -111,6 +110,11 @@ def _check_range(f_max: float, f_min: float, m: float, l: float):
         raise ValueError(f"need f_max > f_min, got f_max={f_max}, f_min={f_min}")
     if not (m > 0 and l > 0):
         raise ValueError(f"m and l must be positive, got m={m}, l={l}")
+
+
+def _check_theta(theta: float):
+    if not 0.0 < theta <= 2.0 * math.pi:
+        raise ValueError(f"theta must be in (0, 2*pi], got {theta}")
 
 
 def success_probability_bound(theta: float) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _check_theta,
     classical_precision_bits,
     quantum_precision_bits,
     stationary_phase_sigma,
@@ -227,7 +228,7 @@ def cmd_compare_classical(args) -> int:
     f = quadratic(g, H, c=0.0)
     true = f.grad(spec.x0)
 
-    # the precision bits check --theta, so they come before the run
+    _check_theta(args.theta)  # before the scan and the run, which take the most time
     f_min, f_max = scanned_range(f, spec)
     n_bits_out = math.log2(spec.N)
     bits_classical = classical_precision_bits(f_max, f_min, spec.m, spec.l, n_bits_out)

@@ -14,6 +14,7 @@ convention can be swapped in one place.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ class ProblemSpec:
     N     lattice points per axis: any integer >= 2, not only a power of two,
           with N**d <= MAX_POINTS
     n_o   output-register bits, 1..MAX_N_O; the modular ring has N_o = 2**n_o elements
-    l     side length of the sampled hypercube centered at x0
-    m     width of the interval bounding each gradient component
+    l     side length of the sampled hypercube centered at x0, stored as a float
+    m     width of the interval bounding each gradient component, stored as a float
     x0    evaluation point, finite (defaults to the origin); stored as a
           read-only copy
 
@@ -59,6 +60,8 @@ class ProblemSpec:
     def __post_init__(self):
         for name in ("d", "N", "n_o"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("l", "m"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.N < 2:
@@ -116,6 +119,13 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """`value` as a Python float; bools, strings, arrays and other non-reals raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def lattice_points(

@@ -4,7 +4,7 @@ Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
 one-dimensional functions.  A function declares no range: `scanned_range`
-gives its exact min and max over a lattice.
+gives its exact min and max over a lattice, one block at a time.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemSpec, encode_input, lattice_points
+from .core import ProblemSpec
 
 
 @dataclass
@@ -139,7 +139,11 @@ CATALOG: dict[str, Callable[..., TestFunction]] = {
 def scanned_range(fn: TestFunction, spec: ProblemSpec):
     """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain.
 
-    `eval` is held to the same contract as in the phase-grid build.
+    The values come block by block from the phase-grid build's lattice walk,
+    so `eval` is held to the same contract.  A NaN value gives NaN bounds.
     """
-    values = _evaluate(fn, encode_input(lattice_points(spec), spec))
-    return float(np.min(values)), float(np.max(values))
+    from .qsim import _oracle_blocks  # qsim imports this module
+
+    # numpy's min and max keep a block's NaN, where Python's min(inf, nan) drops it
+    bounds = np.array([(v.min(), v.max()) for _, _, v in _oracle_blocks(fn, spec)])
+    return float(np.min(bounds[:, 0])), float(np.max(bounds[:, 1]))

@@ -8,8 +8,8 @@ exp(i*2*pi*g(delta)/N_o).  For integer-valued oracles this phase action is
 exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
-The simulation evaluates that one query in row-major blocks of whole
-last-axis lines, so the state is the only lattice-sized array of the build.
+`_oracle_blocks`, the one walk of f over the lattice, evaluates that query in
+row-major blocks, so the state is the only lattice-sized array of the build.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -34,11 +34,10 @@ from .core import (
 )
 from .functions import TestFunction, _evaluate
 
-# Lattice points per block of the phase-grid build, of |amps|^2, of sampling
-# and of the d=1 variance (a build block is the whole last-axis lines that fit,
-# or one segment of a longer line).  The block temporaries (sample points,
-# values, register; cumulative sums, deviations) take O(BLOCK_POINTS * d)
-# bytes whatever the lattice size.
+# Lattice points per block of the oracle walk (the phase-grid build and
+# `functions.scanned_range`), of |amps|^2, of sampling and of the d=1 variance.
+# The block temporaries (sample points, values, register; cumulative sums,
+# deviations) take O(BLOCK_POINTS * d) bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
 
 
@@ -97,65 +96,55 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     g(delta) = quantize_output(f.eval(encode_input(delta))).  Every lattice
     evaluation belongs to the single superposed query.
 
-    The state is filled in consecutive row-major blocks of at most
-    BLOCK_POINTS points: max(1, BLOCK_POINTS // N) whole last-axis lines, or
-    one segment of a line longer than that.  Only the first line and the
-    line heads are enumerated and encoded; the other points copy their
-    coordinates from them, which are the same floats.  `f.eval` is called
-    once per block, must be vectorized, and must give each point's value
-    from that point alone, not from the rest of the batch.  The 2**53 limit
-    of `fixed_point` is checked block by block, and an error reports the
-    offending block's min and max.  When N_o < N^d the phases are looked up
-    in a table of the N_o register values; the table holds the same
+    The state is filled block by block from `_oracle_blocks`.  `f.eval` is
+    called once per block, must be vectorized, and must give each point's
+    value from that point alone, not from the rest of the batch.  The 2**53
+    limit of `fixed_point` is checked block by block, and an error reports
+    the offending block's min and max.  When N_o < N^d the phases are looked
+    up in a table of the N_o register values; the table holds the same
     expression, so both ways give the same amplitudes to the bit.  The
     state, 16 bytes per point, is the only lattice-sized array built.
     """
-    # glibc gives freed heap memory above its trim threshold back to the
-    # kernel, and the threshold follows the largest mmapped chunk freed so far:
-    # freeing one chunk the size of four (block, d) float64 arrays raises it
-    # above a block's temporaries for the rest of the process.  One large build
-    # barely notices (d=4, N=48: 0.7-1.0 s either way, 593 against 1,713 minor
-    # faults); many small runs in one process fault far less: a pass of
-    # perfbench's cli_studies (128 small estimations) takes about 10-250 minor
-    # faults with this line and about 6,200 without it, in the same time within
-    # noise (2-vCPU Xeon, Python 3.11, numpy 2.4).  tracemalloc counts the
-    # chunk, so it also sets that pass's traced peak: 16.9 MB with the line,
-    # 14.4 MB without.
-    np.empty(4 * 8 * spec.d * min(spec.size, BLOCK_POINTS), dtype=np.uint8)
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
     table = None
     if spec.N_o < spec.size:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
-    N = spec.N
-    lines = max(1, BLOCK_POINTS // N)
-    for head in range(0, spec.size, lines * N):
-        n = min(lines, (spec.size - head) // N)
-        # one pass unless a line is longer than a block (then n = 1)
-        for offset in range(0, N, BLOCK_POINTS):
-            start, width = head + offset, min(BLOCK_POINTS, N - offset)
-            stop = start + n * width
-            g = quantize_output(_evaluate(f, _block_points(spec, start, n, width)), spec)
-            if table is None:
-                amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
-            else:
-                np.take(table, g, out=amps[start:stop])
+    for start, stop, values in _oracle_blocks(f, spec):
+        g = quantize_output(values, spec)
+        del values  # not held through the phase step, whose peak would count it
+        if table is None:
+            amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
+        else:
+            np.take(table, g, out=amps[start:stop])
     return AmplitudeGrid(spec, amps)
 
 
-def _block_points(spec: ProblemSpec, start: int, lines: int, width: int) -> np.ndarray:
-    """Encoded points of rows [start, start + lines * width), shape (lines * width, d).
+def _oracle_blocks(f: TestFunction, spec: ProblemSpec):
+    """(start, stop, f at rows [start, stop)) per block: the whole last-axis
+    lines that fit in BLOCK_POINTS, or BLOCK_POINTS rows if a line is longer."""
+    rows = spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
+    for start in range(0, spec.size, rows):
+        stop = min(start + rows, spec.size)
+        yield start, stop, _evaluate(f, _block_points(spec, start, stop))
 
-    The rows are `lines` whole last-axis lines (width = N) or one segment of
-    a line.  Along a line only the last coordinate changes, and encode_input
-    maps each column on its own, so every point takes its leading
-    coordinates from its line's head and its last one from the first line.
+
+def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
+    """Encoded points of rows [start, stop), shape (stop - start, d).
+
+    A block of 2N rows or more, whole last-axis lines as `_oracle_blocks`
+    makes them, enumerates only its first line and its line heads: along a
+    line only the last coordinate changes, and encode_input maps each column
+    on its own, so every point takes its leading coordinates from its line's
+    head and its last one from the first line.  Any other block enumerates
+    its rows directly.
     """
-    first = encode_input(lattice_points(spec, start, start + width), spec)
-    if lines == 1:
-        return first
-    heads = encode_input(lattice_points(spec, start, start + lines * width, step=width), spec)
-    points = np.empty((lines, width, spec.d))
+    N = spec.N
+    if stop - start < 2 * N:
+        return encode_input(lattice_points(spec, start, stop), spec)
+    first = encode_input(lattice_points(spec, start, start + N), spec)
+    heads = encode_input(lattice_points(spec, start, stop, step=N), spec)
+    points = np.empty((heads.shape[0], N, spec.d))
     points[:, :, :-1] = heads[:, None, :-1]
     points[:, :, -1] = first[:, -1]
     return points.reshape(-1, spec.d)

@@ -242,9 +242,10 @@ def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
 
 def test_compare_classical_rejects_bad_theta_before_the_run(tmp_path, monkeypatch):
     def no_run(*args, **kwargs):
-        raise AssertionError("compare-classical ran the estimation before checking --theta")
+        raise AssertionError("compare-classical scanned or ran the estimation before checking --theta")
 
     monkeypatch.setattr("qgrad.cli.run_gradient_estimation", no_run)
+    monkeypatch.setattr("qgrad.cli.scanned_range", no_run)
     # quantum_precision_bits takes theta in (0, 2*pi]
     for theta in ("0", "-1", "nan", "7"):
         out = tmp_path / "c.csv"

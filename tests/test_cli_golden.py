@@ -40,6 +40,14 @@ GOLDEN = {
         ["compare-classical", "--d", "2", "--N", "4"],
         "266a4933fa23ec51c99afd64fb795e5c45c292ef1f73eb9b30eb9576def77494",
     ),
+    "compare-classical-line-blocks": (
+        ["compare-classical", "--d", "3", "--N", "48"],
+        "7e174ed3a1044ed5d2a0f7931501ad8edc3234b4e53a412f127fca2142e3bf65",
+    ),
+    "compare-classical-line-segments": (
+        ["compare-classical", "--d", "1", "--N", "200003"],
+        "eb9c3d1e8db614278931792693532adc77a68d9e255a2ff9f656973867c50b4d",
+    ),
 }
 
 

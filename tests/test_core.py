@@ -226,6 +226,12 @@ def test_nearest_index_rejects_unrepresentable_gradient():
         dict(d=1, N=4, n_o=3, l=1.0, m=float("nan")),
         dict(d=1, N=4, n_o=3, l=1.0, m=1.0, x0=[float("nan")]),
         dict(d=1, N=4, n_o=3, l=1.0, m=1.0, x0=[float("inf")]),
+        dict(d=1, N=4, n_o=3, l="1", m=1.0),
+        dict(d=1, N=4, n_o=3, l=np.array([1.0]), m=1.0),
+        dict(d=1, N=4, n_o=3, l=True, m=1.0),
+        dict(d=1, N=4, n_o=3, l=1.0, m="1"),
+        dict(d=1, N=4, n_o=3, l=1.0, m=np.array(1.0)),
+        dict(d=1, N=4, n_o=3, l=1.0, m=True),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
@@ -275,3 +281,7 @@ def test_spec_derived_quantities():
     spec = ProblemSpec(d=np.int64(2), N=np.int32(6), n_o=np.uint8(4), l=1.0, m=1.0)
     assert [type(v) for v in (spec.d, spec.N, spec.n_o)] == [int, int, int]
     assert spec.N_o == 16 and spec.size == 36
+    # integer and numpy widths are stored as Python floats, so the spec hashes
+    spec = ProblemSpec(d=1, N=4, n_o=3, l=2, m=np.float32(0.5))
+    assert (type(spec.l), type(spec.m)) == (float, float) and (spec.l, spec.m) == (2.0, 0.5)
+    assert hash(spec) == hash(ProblemSpec(d=1, N=4, n_o=3, l=2.0, m=0.5))
