@@ -11,7 +11,8 @@ Every CSV starts with comment lines recording the full configuration and the
 tool version; identical flags and seed produce byte-identical files.  Each
 column has one printf code: %d for integers and 1/0 flags, %.12g for floats
 (up to 12 significant digits, '.' decimal separator, -0 kept) and %s for text.
-Exit codes: 0 success, 2 invalid configuration, 1 runtime failure.
+Exit codes: 0 success, 2 invalid configuration (one-line message), 1 runtime
+failure (traceback on stderr).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -348,8 +350,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except Exception:
+        # a fault of the program, not of its input: show where it happened
+        traceback.print_exc()
         return 1
 
 

@@ -23,7 +23,9 @@ class TestFunction:
     `eval` must be vectorized, mapping points of shape (..., d) to values of
     shape (...), and each value must depend only on its own point: the phase
     grid is built by calling it on row-major blocks of at most
-    `qsim.BLOCK_POINTS` lattice points.
+    `qsim.BLOCK_POINTS` lattice points.  `eval` must be safe to call from
+    several threads at once, since the blocks are evaluated on a thread pool;
+    the catalog's functions are pure numpy.
     """
 
     name: str
@@ -139,11 +141,12 @@ CATALOG: dict[str, Callable[..., TestFunction]] = {
 def scanned_range(fn: TestFunction, spec: ProblemSpec):
     """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain.
 
-    The values come block by block from the phase-grid build's lattice walk,
-    so `eval` is held to the same contract.  A NaN value gives NaN bounds.
+    The values come block by block from the phase-grid build's pooled lattice
+    walk, so `eval` is held to the same contract.  A NaN value gives NaN bounds.
     """
-    from .qsim import _oracle_blocks  # qsim imports this module
+    from .qsim import _walk  # qsim imports this module
 
+    runs = _walk(fn, spec, lambda blocks: [(v.min(), v.max()) for _, _, v in blocks])
     # numpy's min and max keep a block's NaN, where Python's min(inf, nan) drops it
-    bounds = np.array([(v.min(), v.max()) for _, _, v in _oracle_blocks(fn, spec)])
+    bounds = np.array([bound for run in runs for bound in run])
     return float(np.min(bounds[:, 0])), float(np.max(bounds[:, 1]))

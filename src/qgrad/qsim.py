@@ -11,6 +11,13 @@ grid, which is what makes the estimator a single-query algorithm at any d.
 `_oracle_blocks`, the one walk of f over the lattice, evaluates that query in
 row-major blocks, so the state is the only lattice-sized array of the build.
 
+The build and the transform at d >= 2 split their independent work into
+contiguous chunks, one per usable core, on one module-level thread pool
+(`_POOL`, `_WORKERS` threads); numpy releases the GIL in that work, and each
+chunk does exactly what the serial code does there, so the bits are the
+same.  Work of a single chunk (a one-block lattice) stays on the calling
+thread.  `outcome_distribution`, sampling and the statistics stay serial.
+
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
 maps a planewave exp(+i*2*pi*nu*delta/N) with integer nu to the deterministic
@@ -19,6 +26,8 @@ outcome k = nu mod N.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +48,27 @@ from .functions import TestFunction, _evaluate
 # The block temporaries (sample points, values, register; cumulative sums,
 # deviations) take O(BLOCK_POINTS * d) bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
+
+# One worker per usable core for the build and the multi-axis transform.
+_WORKERS = len(os.sched_getaffinity(0))
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad")
+
+
+def _in_chunks(task, n: int) -> list:
+    """[task(first, last)] over contiguous chunks of range(n), one per worker, in order.
+
+    A single chunk runs on the calling thread.  Otherwise every chunk has
+    finished before anything is returned or raised, and an exception is the
+    one of the first failing chunk, so chunks that each stop at their first
+    failure report the failure that comes first in order.
+    """
+    chunks = min(_WORKERS, n)
+    if chunks <= 1:
+        return [task(0, n)]
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    futures = [_POOL.submit(task, first, last) for first, last in zip(bounds, bounds[1:])]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
@@ -96,35 +126,53 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     g(delta) = quantize_output(f.eval(encode_input(delta))).  Every lattice
     evaluation belongs to the single superposed query.
 
-    The state is filled block by block from `_oracle_blocks`.  `f.eval` is
-    called once per block, must be vectorized, and must give each point's
-    value from that point alone, not from the rest of the batch.  The 2**53
-    limit of `fixed_point` is checked block by block, and an error reports
-    the offending block's min and max.  When N_o < N^d the phases are looked
-    up in a table of the N_o register values; the table holds the same
-    expression, so both ways give the same amplitudes to the bit.  The
-    state, 16 bytes per point, is the only lattice-sized array built.
+    The state is filled block by block from `_oracle_blocks`, each worker
+    of `_walk` filling the slice of its own blocks.  `f.eval` is called once
+    per block, possibly from several threads at once, must be vectorized,
+    and must give each point's value from that point alone, not from the
+    rest of the batch.  The 2**53 limit of `fixed_point` is checked block by
+    block, and an error reports the min and max of the first offending block
+    in row order.  When N_o < N^d the phases are looked up in a table of the
+    N_o register values; the table holds the same expression, so both ways
+    give the same amplitudes to the bit.  The state, 16 bytes per point, is
+    the only lattice-sized array built.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
     table = None
     if spec.N_o < spec.size:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
-    for start, stop, values in _oracle_blocks(f, spec):
-        g = quantize_output(values, spec)
-        del values  # not held through the phase step, whose peak would count it
-        if table is None:
-            amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
-        else:
-            np.take(table, g, out=amps[start:stop])
+
+    def fill(blocks):
+        for start, stop, values in blocks:
+            g = quantize_output(values, spec)
+            del values  # not held through the phase step, whose peak would count it
+            if table is None:
+                amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
+            else:
+                np.take(table, g, out=amps[start:stop])
+
+    _walk(f, spec, fill)
     return AmplitudeGrid(spec, amps)
 
 
-def _oracle_blocks(f: TestFunction, spec: ProblemSpec):
-    """(start, stop, f at rows [start, stop)) per block: the whole last-axis
-    lines that fit in BLOCK_POINTS, or BLOCK_POINTS rows if a line is longer."""
-    rows = spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
-    for start in range(0, spec.size, rows):
+def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
+    """[consume(_oracle_blocks(f, spec, first, last))] over contiguous runs of
+    blocks, one per worker, in row order (see `_in_chunks`)."""
+    blocks = -(-spec.size // _block_rows(spec))
+    return _in_chunks(lambda first, last: consume(_oracle_blocks(f, spec, first, last)), blocks)
+
+
+def _block_rows(spec: ProblemSpec) -> int:
+    """Rows per block: the whole last-axis lines that fit in BLOCK_POINTS,
+    or BLOCK_POINTS rows if a line is longer."""
+    return spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
+
+
+def _oracle_blocks(f: TestFunction, spec: ProblemSpec, first: int, last: int):
+    """(start, stop, f at rows [start, stop)) for blocks first..last-1."""
+    rows = _block_rows(spec)
+    for start in range(first * rows, min(last * rows, spec.size), rows):
         stop = min(start + rows, spec.size)
         yield start, stop, _evaluate(f, _block_points(spec, start, stop))
 
@@ -161,6 +209,11 @@ def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> 
     reshapes to the lattice without a copy, as numpy's `fftn(out=)` does;
     `out=grid.amps` transforms the grid in place.  By default a new array is
     allocated and the input grid is left unchanged.
+
+    For d >= 2 the axes are taken in `np.fft.fftn`'s order, last first, in
+    two passes over the workers: axes d-1..1 on chunks of axis 0, then
+    axis 0 on chunks of axis 1.  Each line is transformed as `fftn` would,
+    so the result is the same to the bit.
     """
     spec = grid.spec
     a = grid.reshaped()
@@ -170,7 +223,19 @@ def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> 
         out = np.empty(spec.shape, dtype=complex)
     else:
         out = out.reshape(spec.shape, copy=False)
-    np.fft.fftn(a, out=out)
+    if spec.d == 1:
+        np.fft.fftn(a, out=out)
+    else:
+        inner = tuple(range(1, spec.d))
+
+        def inner_axes(first, last):
+            np.fft.fftn(a[first:last], axes=inner, out=out[first:last])
+
+        def first_axis(first, last):
+            np.fft.fft(out[:, first:last], axis=0, out=out[:, first:last])
+
+        _in_chunks(inner_axes, spec.N)
+        _in_chunks(first_axis, spec.N)
     out /= scale
     return replace(grid, amps=out.reshape(-1))
 
@@ -182,7 +247,9 @@ def outcome_distribution(grid: AmplitudeGrid, *, out: np.ndarray | None = None) 
     (a new one by default), in ascending blocks of BLOCK_POINTS points.  So
     `out=grid.amps.view(float)[:N**d]` reuses the state's own buffer:
     writing block [s, e) of the floats overwrites no amplitude of a later
-    block.
+    block.  That is why the blocks run in order on one thread: the floats
+    of block [s, e) overlap amplitudes of lower blocks, which a second
+    worker might not have read yet.
     """
     amps = grid.amps
     if out is None:

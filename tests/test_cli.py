@@ -11,6 +11,7 @@ import pytest
 from qgrad import ProblemSpec, stationary_phase_sigma, support_membership
 from qgrad import cli
 from qgrad.cli import main
+from qgrad.qsim import BLOCK_POINTS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -251,6 +252,21 @@ def test_compare_classical_rejects_bad_theta_before_the_run(tmp_path, monkeypatc
         out = tmp_path / "c.csv"
         assert main(["compare-classical", "--d", "2", "--N", "8", "--theta", theta, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_program_fault_exits_1_with_its_traceback(tmp_path, monkeypatch, capsys):
+    # a fault raised on a build worker thread still shows the frame it came from
+    def broken_register(values, spec):
+        raise TypeError("register fault")
+
+    monkeypatch.setattr("qgrad.qsim.quantize_output", broken_register)
+    out = tmp_path / "fault.csv"
+    assert main(["run", "--d", "1", "--N", str(3 * BLOCK_POINTS), "--function", "linear",
+                 "--gradient", "0.25", "--shots", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "broken_register" in err
+    assert err.rstrip().endswith("TypeError: register fault")
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2():

@@ -14,6 +14,7 @@ from qgrad import (
     circular_mean,
     circular_variance,
     encode_input,
+    fixed_point,
     fourier_transform,
     lattice_points,
     linear,
@@ -168,6 +169,96 @@ def test_build_calls_each_stage_once_per_block(monkeypatch):
         build_phase_state(f, spec)
         assert calls == {"lattice_points": enumerations, "encode_input": enumerations,
                          "quantize_output": blocks, "eval": blocks}
+
+
+# d=1, four blocks (B, B, B, 100): two workers take blocks 0-1 and 2-3
+FOUR_BLOCKS = ProblemSpec(d=1, N=3 * BLOCK_POINTS + 100, n_o=8, l=1.0, m=1.0)
+
+
+def _row_point(spec, row):
+    return encode_input([row], spec)[0]
+
+
+def test_the_first_failing_block_in_row_order_raises():
+    # blocks 1 and 3 both fail; the error is block 1's, as when the blocks run one after another
+    spec = FOUR_BLOCKS
+    x1, x3 = _row_point(spec, BLOCK_POINTS + 5), _row_point(spec, 3 * BLOCK_POINTS + 5)
+    spikes = replace(linear([0.0]), name="spikes", eval=lambda x: np.where(
+        x[..., 0] == x1, 1e30, np.where(x[..., 0] == x3, 3e30, 0.0)))
+    with pytest.raises(ValueError) as expected:
+        fixed_point(np.array([0.0, 1e30]), spec)  # block 1's values: zeros and one spike
+    with pytest.raises(ValueError) as raised:
+        build_phase_state(spikes, spec)
+    assert str(raised.value) == str(expected.value)
+
+    def short(x):  # one value too few in every block holding x1 or x3
+        values = np.zeros(x.shape[:-1])
+        return values[1:] if np.isin([x1, x3], x[..., 0]).any() else values
+    with pytest.raises(ValueError, match=f"shape \\({BLOCK_POINTS}, 1\\) gave values of shape "
+                                         f"\\({BLOCK_POINTS - 1},\\)"):
+        build_phase_state(replace(linear([0.0]), name="short", eval=short), spec)
+
+
+def test_a_failed_build_leaves_the_next_one_unchanged():
+    spec, f = FOUR_BLOCKS, quadratic([0.1], [[0.4]])
+    expected = build_phase_state(f, spec).amps
+    edge = _row_point(spec, 2 * BLOCK_POINTS)
+
+    def fails_late(x):
+        if x[0, 0] >= edge:
+            raise RuntimeError("late block")
+        return f.eval(x)
+    with pytest.raises(RuntimeError, match="late block"):
+        build_phase_state(replace(f, eval=fails_late), spec)
+    assert np.array_equal(build_phase_state(f, spec).amps, expected)
+
+
+# (spec, f, BLOCK_POINTS) whose build, transform and run must not depend on the worker count
+POOLED_CASES = [
+    pytest.param(ProblemSpec(d=2, N=257, n_o=10, l=1.0, m=1.0),
+                 quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]]), BLOCK_POINTS, id="prime"),
+    pytest.param(ProblemSpec(d=3, N=49, n_o=12, l=0.5, m=1.0),
+                 sinusoid(0.5, [1.0, 2.0, -1.0]), BLOCK_POINTS, id="odd"),
+    pytest.param(ProblemSpec(d=6, N=2, n_o=8, l=1.0, m=1.0),
+                 quadratic(np.linspace(-0.2, 0.3, 6), np.diag(np.linspace(0.1, 0.3, 6))), BLOCK_POINTS, id="d6N2"),
+    pytest.param(STREAMED_CASES[0][0], STREAMED_CASES[0][1], BLOCK_POINTS, id="d1"),
+    pytest.param(ProblemSpec(d=2, N=5, n_o=8, l=1.0, m=1.0), sinusoid(0.5, [1.0, 2.0]), 3, id="block3"),
+]
+
+
+def _outputs(f, spec):
+    grid = build_phase_state(f, spec)
+    report = run_gradient_estimation(f, spec, shots=500, seed=3)
+    return (grid.amps, fourier_transform(grid).amps, report.distribution.probs, report.samples,
+            report.circular_mean_k, report.circular_variance_k)
+
+
+class NoPool:
+    def submit(self, *args):
+        raise AssertionError("work submitted to the pool")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("spec,f,block", POOLED_CASES)
+def test_the_pool_gives_the_bits_of_one_worker(monkeypatch, spec, f, block, workers):
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
+    monkeypatch.setattr(qsim, "_WORKERS", 1)
+    monkeypatch.setattr(qsim, "_POOL", NoPool())  # one worker works on the calling thread
+    serial = _outputs(f, spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
+    monkeypatch.setattr(qsim, "_WORKERS", workers)
+    for got, want in zip(_outputs(f, spec), serial):
+        assert np.array_equal(got, want)
+
+
+def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(qsim, "_POOL", NoPool())
+    spec = ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0)
+    f = quadratic([0.1], [[0.4]])
+    run_gradient_estimation(f, spec, shots=10)
+    scanned_range(f, spec)
+    build_phase_state(sinusoid(0.5, [1.0, 2.0, -1.0, 0.5]), ProblemSpec(d=4, N=16, n_o=8, l=1.0, m=1.0))
 
 
 def _traced_peak(call) -> int:
