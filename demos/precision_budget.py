@@ -49,8 +49,7 @@ for sigma in (1e-2, 1e-4, 1e-6):
 # are exact on quadratics and scale as l^2 on cubics.
 print()
 ls = np.logspace(-2, 0, 8)
-fit_c = error_scaling_fit(cubic_1d(1.0), [0.0], ls, method="central")
-fit_q = error_scaling_fit(quadratic([0.1], [[1.0]]), [0.0], ls, method="central")
-print(f"central-difference error slope on a cubic:    {fit_c.slope:.3f}")
-print(f"central-difference on a quadratic: degenerate={fit_q.degenerate} "
-      "(error at machine noise)")
+slope_c = error_scaling_fit(cubic_1d(1.0), [0.0], ls, method="central")
+slope_q = error_scaling_fit(quadratic([0.1], [[1.0]]), [0.0], ls, method="central")
+print(f"central-difference error slope on a cubic:    {slope_c:.3f}")
+print(f"central-difference slope on a quadratic:      {slope_q} (error at machine noise)")

@@ -44,7 +44,6 @@ from .qsim import (
 )
 from .classical import (
     ClassicalReport,
-    ScalingFit,
     central_difference,
     error_scaling_fit,
     forward_difference,
@@ -91,7 +90,6 @@ __all__ = [
     "circular_variance",
     "wrap_signed",
     "ClassicalReport",
-    "ScalingFit",
     "forward_difference",
     "central_difference",
     "error_scaling_fit",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec
+from .core import ProblemSpec, _symmetric
 
 
 @dataclass
@@ -43,15 +43,6 @@ class SigmaPrediction:
     def support_volume(self) -> float:
         """|det A|, the lattice-cell volume of the predicted region."""
         return float(abs(np.linalg.det(self.support_matrix)))
-
-
-def _symmetric(H, d: int) -> np.ndarray:
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    if H.shape != (d, d):
-        raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
-    if not np.allclose(H, H.T, rtol=1e-9, atol=1e-12):
-        raise ValueError("H must be symmetric")
-    return H
 
 
 def stationary_phase_sigma(H, spec: ProblemSpec) -> SigmaPrediction:

@@ -3,6 +3,8 @@
 Forward differences use d+1 function evaluations, central differences 2d.
 Each query is one `f.eval` call; a blackbox that returns f with a finite
 number of bits is a `TestFunction` whose `eval` does the rounding.
+`error_scaling_fit` returns the log-log slope of the error against the step
+size as one float, nan at the noise floor.
 """
 from __future__ import annotations
 
@@ -57,30 +59,17 @@ def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     return ClassicalReport(gradient_estimate=grad, queries=2 * x.size)
 
 
-@dataclass
-class ScalingFit:
-    """Log-log fit of finite-difference error against step size.
-
-    degenerate flags data at the floating-point noise floor (e.g. central
-    differences on a quadratic, where truncation cancels exactly); the slope
-    is meaningless there and reported as nan.
-    """
-
-    slope: float
-    intercept: float
-    degenerate: bool
-    l_values: np.ndarray
-    errors: np.ndarray
-
-
 _METHODS = {"forward": forward_difference, "central": central_difference}
 
 
-def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> ScalingFit:
+def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> float:
     """Least-squares slope of log(error) vs log(l) over a sweep of step sizes.
 
     Needs at least 4 step sizes spanning a decade.  The error at each l is the
-    max-norm deviation from the analytic gradient.
+    max-norm deviation from the analytic gradient; an error that is not
+    finite raises ValueError.  The slope is nan when the errors sit at the
+    floating-point noise floor (e.g. central differences on a quadratic,
+    where truncation cancels exactly), since it means nothing there.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
@@ -97,11 +86,11 @@ def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> 
     errors = np.array(
         [np.max(np.abs(diff(f, x, l).gradient_estimate - true)) for l in ls]
     )
+    if not np.all(np.isfinite(errors)):
+        raise ValueError(f"errors must be finite, got {errors}")
 
     floor = 1e-10 * max(1.0, float(np.max(np.abs(true))))
     if np.any(errors == 0.0) or np.max(errors) < floor:
-        return ScalingFit(slope=float("nan"), intercept=float("nan"), degenerate=True,
-                          l_values=ls, errors=errors)
-    slope, intercept = np.polyfit(np.log(ls), np.log(errors), 1)
-    return ScalingFit(slope=float(slope), intercept=float(intercept), degenerate=False,
-                      l_values=ls, errors=errors)
+        return float("nan")
+    slope, _ = np.polyfit(np.log(ls), np.log(errors), 1)
+    return float(slope)

@@ -34,7 +34,7 @@ from .analysis import (
     support_membership,
 )
 from .classical import central_difference, error_scaling_fit, forward_difference
-from .core import ProblemSpec, lattice_points, signed_index
+from .core import MAX_POINTS, ProblemSpec, _shown, lattice_points, signed_index
 from .functions import CATALOG, cubic_1d, linear, quadratic, scanned_range, sinusoid
 from .qsim import run_gradient_estimation
 
@@ -81,7 +81,13 @@ def _per_axis(values: list[float], d: int, flag: str) -> list[float]:
 
 def _spec_from_args(args, d: int | None = None) -> ProblemSpec:
     d = d if d is not None else args.d
-    N = 2 ** args.n_bits if args.n_bits is not None else args.N
+    N = args.N
+    if args.n_bits is not None:
+        # checked before the power, which takes gigabytes for a huge n_bits
+        top = MAX_POINTS.bit_length() - 1  # 2**top is the largest N of one axis
+        if not 1 <= args.n_bits <= top:
+            raise ValueError(f"--n-bits must lie in [1, {top}], got {_shown(args.n_bits)}")
+        N = 2 ** args.n_bits
     x0 = getattr(args, "x0", None)
     x0 = None if x0 is None else _per_axis(x0, d, "--x0")
     return ProblemSpec(d=d, N=N, n_o=args.n_o, l=args.l, m=args.m, x0=x0)
@@ -150,7 +156,7 @@ def _sweep_point(alpha: float, N: int, args):
     """
     spec = ProblemSpec(d=1, N=N, n_o=args.n_o, l=SWEEP_L, m=args.m)
     f = quadratic([0.0], [[2.0 * args.m * alpha / SWEEP_L]], c=0.0)
-    report = run_gradient_estimation(f, spec, shots=0)
+    report = run_gradient_estimation(f, spec, shots=0, seed=args.seed)
     sigma_pred = alpha * N / math.sqrt(3.0)
     sigma_meas = float(report.sigma_k_measured[0])
     return sigma_pred, sigma_meas
@@ -160,8 +166,8 @@ def _write_sweep(args, column: str, code: str, points) -> int:
     """One CSV row per (value, alpha, N) point; `column` names the swept value
     and `code` is its printf code.
 
-    Sweeps run with shots=0, so no random stream is drawn; --seed only enters
-    the config header.
+    Sweeps run with shots=0, so no random stream is drawn; --seed is checked
+    like any seed and otherwise only enters the config header.
     """
     rows = [[value, *_sweep_point(alpha, N, args)] for value, alpha, N in points]
     comments = [
@@ -241,9 +247,9 @@ def cmd_compare_classical(args) -> int:
     ctr = central_difference(f, spec.x0, spec.l)
 
     slope_fwd = error_scaling_fit(quadratic([0.0], [[1.0]]), [0.0],
-                                  np.logspace(-2, 0, 8), method="forward").slope
+                                  np.logspace(-2, 0, 8), method="forward")
     slope_ctr = error_scaling_fit(cubic_1d(1.0), [0.0],
-                                  np.logspace(-2, 0, 8), method="central").slope
+                                  np.logspace(-2, 0, 8), method="central")
 
     err_q = float(np.max(np.abs(report.mode_gradient - true)))
     err_f = float(np.max(np.abs(fwd.gradient_estimate - true)))
@@ -274,7 +280,7 @@ def _add_shared(p: argparse.ArgumentParser):
     """Options every subcommand takes: register bits, gradient bound, seed, output."""
     p.add_argument("--n-o", type=int, default=16, help="output-register bits")
     p.add_argument("--m", type=float, default=1.0, help="gradient-bound interval width")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed, an integer >= 0")
     p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
 
 

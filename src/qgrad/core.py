@@ -63,18 +63,19 @@ class ProblemSpec:
         for name in ("l", "m"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+            raise ValueError(f"d must be >= 1, got {_shown(self.d)}")
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ValueError(f"N must be >= 2, got {_shown(self.N)}")
         if not 1 <= self.n_o <= MAX_N_O:
-            raise ValueError(f"n_o must lie in [1, {MAX_N_O}], got {self.n_o}")
+            raise ValueError(f"n_o must lie in [1, {MAX_N_O}], got {_shown(self.n_o)}")
         if not 0 < self.l < np.inf:
             raise ValueError(f"l must be positive and finite, got {self.l}")
         if not 0 < self.m < np.inf:
             raise ValueError(f"m must be positive and finite, got {self.m}")
-        if self.N ** self.d > MAX_POINTS:
+        # N >= 2, so a d or an N above these bounds is over budget without taking the power
+        if self.d > MAX_POINTS.bit_length() - 1 or self.N > MAX_POINTS or self.N ** self.d > MAX_POINTS:
             raise ValueError(
-                f"lattice size N**d = {self.N}**{self.d} exceeds the budget "
+                f"lattice size N**d = {_shown(self.N)}**{_shown(self.d)} exceeds the budget "
                 f"of {MAX_POINTS} points"
             )
         x0 = np.zeros(self.d) if self.x0 is None else np.array(self.x0, dtype=float)
@@ -121,11 +122,28 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _shown(value: int) -> str:
+    """An integer for a message: its digits, or its sign and bit length when it is huge."""
+    if abs(value) < 10 ** 18:
+        return str(value)
+    return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def _real(name: str, value) -> float:
     """`value` as a Python float; bools, strings, arrays and other non-reals raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _symmetric(H, d: int) -> np.ndarray:
+    """H as a float (d, d) matrix, after checking that it is symmetric (rtol = atol = 1e-12)."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    if H.shape != (d, d):
+        raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
+    if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
+        raise ValueError("H must be symmetric")
+    return H
 
 
 def lattice_points(
@@ -147,6 +165,8 @@ def _index_array(values, spec: ProblemSpec, what: str) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.shape[-1] != spec.d:
         raise ValueError(f"{what} must have last axis of length d={spec.d}, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
     if np.any(arr < 0) or np.any(arr >= spec.N):
         raise ValueError(f"{what} components must lie in [0, {spec.N})")
     return arr

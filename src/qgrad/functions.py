@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemSpec
+from .core import ProblemSpec, _symmetric
 
 
 @dataclass
@@ -77,12 +77,8 @@ def linear(g, c: float = 0.0) -> TestFunction:
 def quadratic(g, H, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x + x^T H x / 2 with symmetric H."""
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
     d = g.size
-    if H.shape != (d, d):
-        raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
-    if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("H must be symmetric")
+    H = _symmetric(H, d)
 
     def ev(x):
         pts = _points(x, d)

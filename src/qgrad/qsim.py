@@ -21,7 +21,9 @@ thread.  `outcome_distribution`, sampling and the statistics stay serial.
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
 maps a planewave exp(+i*2*pi*nu*delta/N) with integer nu to the deterministic
-outcome k = nu mod N.
+outcome k = nu mod N.  The transform and the probabilities return a new array
+by default; with `in_place=True`, as the run calls them, they reuse the grid's
+own buffer.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import numpy as np
 from .core import (
     ProblemSpec,
     _integer,
+    _shown,
     decode_outcome,
     encode_input,
     lattice_points,
@@ -49,8 +52,16 @@ from .functions import TestFunction, _evaluate
 # deviations) take O(BLOCK_POINTS * d) bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
 
+
+def _usable_cores() -> int:
+    """The cores this process may run on; all of the machine's where the OS does not say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # One worker per usable core for the build and the multi-axis transform.
-_WORKERS = len(os.sched_getaffinity(0))
+_WORKERS = _usable_cores()
 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad")
 
 
@@ -198,17 +209,15 @@ def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
     return points.reshape(-1, spec.d)
 
 
-def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> AmplitudeGrid:
+def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> AmplitudeGrid:
     """Unitary N-point forward discrete Fourier transform applied along every axis.
 
     a(delta) -> N^(-d/2) * sum_delta a(delta) exp(-i*2*pi*k.delta/N),
     so a planewave exp(+i*2*pi*nu.delta/N) lands on outcome k = nu mod N.
     Works for any N (mixed-radix / Bluestein under the hood).
 
-    The result is written into `out`, a complex array of N**d entries that
-    reshapes to the lattice without a copy, as numpy's `fftn(out=)` does;
-    `out=grid.amps` transforms the grid in place.  By default a new array is
-    allocated and the input grid is left unchanged.
+    By default the result is a new array and the input grid is left
+    unchanged; `in_place=True` transforms the grid's own buffer.
 
     For d >= 2 the axes are taken in `np.fft.fftn`'s order, last first, in
     two passes over the workers: axes d-1..1 on chunks of axis 0, then
@@ -219,10 +228,7 @@ def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> 
     a = grid.reshaped()
     scale = spec.N ** (spec.d / 2.0)
     # every axis pass writes the one output array, which is then scaled in place
-    if out is None:
-        out = np.empty(spec.shape, dtype=complex)
-    else:
-        out = out.reshape(spec.shape, copy=False)
+    out = a if in_place else np.empty(spec.shape, dtype=complex)
     if spec.d == 1:
         np.fft.fftn(a, out=out)
     else:
@@ -240,20 +246,19 @@ def fourier_transform(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> 
     return replace(grid, amps=out.reshape(-1))
 
 
-def outcome_distribution(grid: AmplitudeGrid, *, out: np.ndarray | None = None) -> OutcomeDistribution:
+def outcome_distribution(grid: AmplitudeGrid, *, in_place: bool = False) -> OutcomeDistribution:
     """Computational-basis measurement probabilities |amps|^2 (no renormalizing).
 
-    The probabilities are written into `out`, a float array of N**d entries
-    (a new one by default), in ascending blocks of BLOCK_POINTS points.  So
-    `out=grid.amps.view(float)[:N**d]` reuses the state's own buffer:
-    writing block [s, e) of the floats overwrites no amplitude of a later
-    block.  That is why the blocks run in order on one thread: the floats
-    of block [s, e) overlap amplitudes of lower blocks, which a second
-    worker might not have read yet.
+    By default the probabilities are a new float array.  `in_place=True`
+    writes them into the float64 view of the first N**d * 8 bytes of the
+    grid's own buffer, which then holds them.  The blocks of BLOCK_POINTS
+    points run in ascending order on one thread: writing block [s, e) of
+    the floats overwrites no amplitude of a later block, but does overlap
+    amplitudes of lower blocks, which a second worker might not have read
+    yet.
     """
     amps = grid.amps
-    if out is None:
-        out = np.empty(amps.size)
+    out = amps.view(float)[: amps.size] if in_place else np.empty(amps.size)
     for start in range(0, amps.size, BLOCK_POINTS):
         src = amps[start:start + BLOCK_POINTS]
         block = out[start:start + BLOCK_POINTS]
@@ -275,11 +280,13 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     its N**d-entry temporaries: the cumulative sum of the normalized weights
     is taken in blocks of BLOCK_POINTS, once for its last value and once more
     to search the sorted uniforms block by block.  Weights that are negative
-    or NaN, or whose sum is not finite and positive, raise ValueError.
+    or NaN, or whose sum is not finite and positive, raise ValueError, as
+    does a seed that is not an integer >= 0.
     """
     shots = _integer("shots", shots)
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise ValueError(f"shots must be >= 1, got {_shown(shots)}")
+    seed = _seed(seed)
     total = float(dist.probs.sum())
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite positive sum")
@@ -298,6 +305,14 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
         flat[order[lo:hi]] = start + np.searchsorted(cdf, u[lo:hi], side="right")
         lo = hi
     return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
+
+
+def _seed(seed) -> int:
+    """`seed` as a Python int, after checking that it is an integer >= 0."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {_shown(seed)}")
+    return seed
 
 
 def _cumulative_blocks(probs: np.ndarray, total: float):
@@ -458,18 +473,20 @@ def run_gradient_estimation(
 ) -> GradientEstimationReport:
     """Full pipeline: phase grid, forward transform, measurement statistics.
 
-    shots = 0 skips sampling and reports distribution-level quantities only.
+    shots = 0 skips sampling and reports distribution-level quantities only;
+    the seed is checked all the same.
     """
     shots = _integer("shots", shots)
     if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+        raise ValueError(f"shots must be >= 0, got {_shown(shots)}")
+    seed = _seed(seed)
     true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
     # the run owns its state: the transform, the probabilities and the
     # statistics all work in the one buffer the build fills
     grid = build_phase_state(f, spec)
-    grid = fourier_transform(grid, out=grid.amps)
-    dist = outcome_distribution(grid, out=grid.amps.view(float)[: spec.size])
+    grid = fourier_transform(grid, in_place=True)
+    dist = outcome_distribution(grid, in_place=True)
 
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))

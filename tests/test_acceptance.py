@@ -183,9 +183,9 @@ def test_a8_classical_error_laws():
             true = f.grad(x)
             rel = np.max(np.abs(rep.gradient_estimate - true)) / max(1.0, np.max(np.abs(true)))
             assert rel <= 1e-12
-        fit = error_scaling_fit(cubic_1d(1.0), [0.0], np.logspace(-2, 0, 8), method="central")
-        assert not fit.degenerate
-        assert abs(fit.slope - 2.0) <= 0.1
+        slope = error_scaling_fit(cubic_1d(1.0), [0.0], np.logspace(-2, 0, 8), method="central")
+        assert not np.isnan(slope)
+        assert abs(slope - 2.0) <= 0.1
 
 
 def test_a9_gradient_unit_width_independent_of_lattice():

@@ -70,6 +70,19 @@ def test_asymmetric_hessian_rejected():
         stationary_phase_sigma([[1.0, 0.5], [0.0, 1.0]], spec_for(d=2))
 
 
+def test_one_symmetry_tolerance_for_prediction_and_function():
+    # an asymmetry of 1e-10 relative passes neither check; one of 1e-13 passes both
+    spec = spec_for(d=2)
+    for eps, accepted in ((1e-10, False), (1e-13, True)):
+        H = [[1.0, 0.5 + eps], [0.5, 1.0]]
+        for check in (lambda: stationary_phase_sigma(H, spec), lambda: quadratic([0.0, 0.0], H)):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    check()
+
+
 def test_sigma_grad_independent_of_lattice_size():
     H = np.array([[0.7, 0.2], [0.2, -0.4]])
     values = []

@@ -12,7 +12,7 @@ PUBLIC = {
     "AmplitudeGrid", "OutcomeDistribution", "GradientEstimationReport", "build_phase_state",
     "fourier_transform", "outcome_distribution", "sample", "run_gradient_estimation",
     "apply_phase_error", "circular_mean", "circular_variance", "wrap_signed",
-    "ClassicalReport", "ScalingFit", "forward_difference", "central_difference",
+    "ClassicalReport", "forward_difference", "central_difference",
     "error_scaling_fit",
     "SigmaPrediction", "stationary_phase_sigma", "support_membership",
     "classical_precision_bits", "quantum_precision_bits", "success_probability_bound",
@@ -36,8 +36,8 @@ SIGNATURES = {
     "sinusoid": "(amplitude, wavevector)",
     "scanned_range": "(fn, spec)",
     "build_phase_state": "(f, spec)",
-    "fourier_transform": "(grid, *, out=None)",
-    "outcome_distribution": "(grid, *, out=None)",
+    "fourier_transform": "(grid, *, in_place=False)",
+    "outcome_distribution": "(grid, *, in_place=False)",
     "sample": "(dist, shots, seed)",
     "run_gradient_estimation": "(f, spec, shots=1000, seed=0)",
     "apply_phase_error": "(grid, errors)",
@@ -68,7 +68,6 @@ DATACLASSES = {
         ["sigma_grad_measured", "sigma_k_measured"],
     ),
     "ClassicalReport": (["gradient_estimate", "queries"], []),
-    "ScalingFit": (["slope", "intercept", "degenerate", "l_values", "errors"], []),
     "SigmaPrediction": (["sigma_k", "sigma_grad", "support_matrix"], ["support_volume"]),
 }
 
@@ -93,11 +92,11 @@ def test_single_form_types_are_pinned():
     assert [f.name for f in fields(qgrad.TestFunction)] == ["name", "d", "eval", "grad", "hess"]
     assert "__call__" not in vars(qgrad.TestFunction)
     assert [f.name for f in fields(qgrad.AmplitudeGrid)] == ["spec", "amps"]
-    # forward only; `out` is keyword-only
+    # forward only; `in_place` is keyword-only
     params = inspect.signature(qgrad.fourier_transform).parameters
     assert [(p.name, p.kind) for p in params.values()] == [
         ("grid", inspect.Parameter.POSITIONAL_OR_KEYWORD),
-        ("out", inspect.Parameter.KEYWORD_ONLY),
+        ("in_place", inspect.Parameter.KEYWORD_ONLY),
     ]
 
 

@@ -226,6 +226,10 @@ def test_validation_failure_exits_2(tmp_path):
     assert main(["run", "--shots", "-3", "--out", str(tmp_path / "s.csv")]) == 2
     # an evaluation point that is not finite
     assert main(["run", "--x0", "nan", "--out", str(tmp_path / "n.csv")]) == 2
+    # a negative seed, also where no shot is drawn
+    for argv in (["sweep-n", "--N", "16"], ["sweep-alpha", "--N", "16", "--alpha", "0.02"],
+                 ["run", "--shots", "0"]):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "r.csv")]) == 2
 
 
 def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
@@ -251,6 +255,15 @@ def test_compare_classical_rejects_bad_theta_before_the_run(tmp_path, monkeypatc
     for theta in ("0", "-1", "nan", "7"):
         out = tmp_path / "c.csv"
         assert main(["compare-classical", "--d", "2", "--N", "8", "--theta", theta, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_huge_n_bits_exits_2_before_the_power(tmp_path, capsys):
+    # 2**n_bits is not taken for an n_bits outside [1, 24]
+    for n_bits in ("1000000000", "25", "0", "-3"):
+        out = tmp_path / "n.csv"
+        assert main(["run", "--n-bits", n_bits, "--out", str(out)]) == 2
+        assert "--n-bits must lie in [1, 24]" in capsys.readouterr().err
         assert not out.exists()
 
 

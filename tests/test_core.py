@@ -1,4 +1,5 @@
 """Tests for problem parameters and the fixed-point encode/quantize/decode maps."""
+import time
 import warnings
 
 import numpy as np
@@ -44,11 +45,18 @@ def test_encode_with_offset():
     assert encode_input([6], spec) == pytest.approx([1.1])
 
 
+# a float, a bool, a NaN or a string is no lattice index, even where it compares in range
+NOT_INDICES = ([0.5], [True], [float("nan")], ["3"])
+
+
 def test_encode_out_of_range_rejected():
     with pytest.raises(ValueError):
         encode_input([4], spec_1d())
     with pytest.raises(ValueError):
         encode_input([-1], spec_1d())
+    for bad in NOT_INDICES:
+        with pytest.raises(ValueError, match="integers"):
+            encode_input(bad, spec_1d())
 
 
 def test_encode_image_is_centered_half_open_cube():
@@ -149,6 +157,9 @@ def test_decode_positive_branch():
 def test_decode_out_of_range_rejected():
     with pytest.raises(ValueError):
         decode_outcome([8], spec_1d(N=8))
+    for bad in NOT_INDICES:
+        with pytest.raises(ValueError, match="integers"):
+            decode_outcome(bad, spec_1d(N=8))
 
 
 def test_decode_range_is_half_open_symmetric():
@@ -245,6 +256,22 @@ def test_spec_budget_cap():
         with pytest.raises(ValueError):
             ProblemSpec(d=d, N=N, n_o=3, l=1.0, m=1.0)
     ProblemSpec(d=4, N=64, n_o=3, l=1.0, m=1.0)  # exactly 2**24: at budget, fine
+
+
+def test_spec_rejects_huge_integers_before_the_power():
+    # N**d is never taken for a d or an N over budget, and the message stays short
+    huge = 10 ** 5000
+    start = time.perf_counter()
+    for kwargs in (dict(d=10 ** 8, N=3), dict(d=25, N=2), dict(d=huge, N=2), dict(d=1, N=huge),
+                   dict(d=2, N=2 ** 24 + 1), dict(d=-huge, N=4), dict(d=1, N=-huge)):
+        with pytest.raises(ValueError) as err:
+            ProblemSpec(n_o=3, l=1.0, m=1.0, **kwargs)
+        assert len(str(err.value)) < 200
+    with pytest.raises(ValueError, match="n_o") as err:
+        ProblemSpec(d=1, N=4, n_o=huge, l=1.0, m=1.0)
+    assert len(str(err.value)) < 200
+    assert time.perf_counter() - start < 5.0
+    ProblemSpec(d=24, N=2, n_o=3, l=1.0, m=1.0)  # 2**24 points: at budget, fine
 
 
 def test_spec_x0_default_and_shape():

@@ -1,7 +1,11 @@
 """Tests for the amplitude-level simulator: phase grids, transforms, sampling, runs."""
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,26 @@ def test_the_pool_gives_the_bits_of_one_worker(monkeypatch, spec, f, block, work
         assert np.array_equal(got, want)
 
 
+def test_usable_cores_without_sched_getaffinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert qsim._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert qsim._usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert qsim._usable_cores() == 1
+
+
+def test_import_without_sched_getaffinity():
+    # macOS and Windows have no sched_getaffinity
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import os; del os.sched_getaffinity; import qgrad; print(qgrad.qsim._WORKERS)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == (os.cpu_count() or 1)
+
+
 def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(qsim, "_POOL", NoPool())
     spec = ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0)
@@ -373,11 +397,9 @@ def test_transform_into_its_own_buffer_gives_the_same_bits(N, d):
     grid = random_grid(N, d, seed=N + d)
     expected = fourier_transform(grid).amps
     buf = grid.amps.copy()
-    out = fourier_transform(AmplitudeGrid(grid.spec, buf), out=buf)
+    out = fourier_transform(AmplitudeGrid(grid.spec, buf), in_place=True)
     assert np.shares_memory(out.amps, buf)
     assert np.array_equal(out.amps, expected)
-    with pytest.raises(ValueError):
-        fourier_transform(grid, out=np.empty(grid.spec.size + 1, dtype=complex))
 
 
 @pytest.mark.parametrize("N,d", [(4, 1), (6, 2), (16, 1), (5, 2)])
@@ -422,7 +444,7 @@ def test_probabilities_into_the_state_buffer_give_the_same_bits(N, d):
     grid = random_grid(N, d, seed=N)
     expected = outcome_distribution(grid).probs
     buf = grid.amps.copy()
-    dist = outcome_distribution(AmplitudeGrid(grid.spec, buf), out=buf.view(float)[: grid.spec.size])
+    dist = outcome_distribution(AmplitudeGrid(grid.spec, buf), in_place=True)
     assert np.shares_memory(dist.probs, buf)
     assert np.array_equal(dist.probs, expected)
 
@@ -465,6 +487,19 @@ def test_sample_rejects_nonpositive_shots():
     for shots in (-5, 2.5, True):
         with pytest.raises(ValueError, match="shots"):
             run_gradient_estimation(linear([0.25]), spec, shots=shots)
+
+
+def test_seed_is_checked_at_entry():
+    # with or without sampling, a seed is an integer >= 0
+    spec = ProblemSpec(d=1, N=8, n_o=4, l=1.0, m=1.0)
+    dist = outcome_distribution(random_grid(4, 1, seed=1))
+    for seed in (1.5, -1, True, "1", -10 ** 5000):
+        with pytest.raises(ValueError, match="seed"):
+            sample(dist, shots=5, seed=seed)
+        for shots in (0, 5):
+            with pytest.raises(ValueError, match="seed"):
+                run_gradient_estimation(linear([0.25]), spec, shots=shots, seed=seed)
+    assert sample(dist, shots=5, seed=np.int64(3)).shape == (5, 1)
 
 
 def test_sample_rejects_unusable_weights():
