@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, _symmetric
+from .core import ProblemSpec, _integer, _shown, _symmetric
 
 
 @dataclass
@@ -79,7 +79,7 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
 
 def classical_precision_bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
     """Bits of function precision a classical estimator needs for n output bits."""
-    _check_range(f_max, f_min, m, l)
+    _check_range(f_max, f_min, m, l, n)
     return math.log2((f_max - f_min) * 2.0 ** n / (m * l))
 
 
@@ -91,16 +91,18 @@ def quantum_precision_bits(
     Valid for 0 < theta <= 2pi; theta = 2pi is the formal point where the
     requirement coincides with the classical one.
     """
-    _check_range(f_max, f_min, m, l)
+    _check_range(f_max, f_min, m, l, n)
     _check_theta(theta)
     return math.log2((f_max - f_min) * 2.0 ** n / (m * l * theta / (2.0 * math.pi)))
 
 
-def _check_range(f_max: float, f_min: float, m: float, l: float):
+def _check_range(f_max: float, f_min: float, m: float, l: float, n: float):
+    if not (math.isfinite(f_max) and math.isfinite(f_min) and math.isfinite(n)):
+        raise ValueError(f"f_max, f_min and n must be finite, got f_max={f_max}, f_min={f_min}, n={n}")
     if not f_max > f_min:
         raise ValueError(f"need f_max > f_min, got f_max={f_max}, f_min={f_min}")
-    if not (m > 0 and l > 0):
-        raise ValueError(f"m and l must be positive, got m={m}, l={l}")
+    if not (0 < m < math.inf and 0 < l < math.inf):
+        raise ValueError(f"m and l must be positive and finite, got m={m}, l={l}")
 
 
 def _check_theta(theta: float):
@@ -126,18 +128,20 @@ def optimal_l(
     quantum:   l = 2*sqrt(3)*sigma/(D2*sqrt(d))   (quadratic term, error per axis)
 
     D2/D3 are typical magnitudes of second and third partial derivatives; pass
-    worst-case values instead for a worst-case width.
+    worst-case values instead for a worst-case width.  sigma and the D needed
+    by the mode must be finite and positive, and d an integer >= 1.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    d = _integer("d", d)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {_shown(d)}")
     if mode == "classical":
-        if d3 is None or not d3 > 0:
-            raise ValueError("classical mode needs a positive d3")
+        if d3 is None or not 0 < d3 < math.inf:
+            raise ValueError(f"classical mode needs a positive finite d3, got {d3}")
         return 2.0 * math.sqrt(6.0 * sigma / d3)
     if mode == "quantum":
-        if d2 is None or not d2 > 0:
-            raise ValueError("quantum mode needs a positive d2")
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
+        if d2 is None or not 0 < d2 < math.inf:
+            raise ValueError(f"quantum mode needs a positive finite d2, got {d2}")
         return 2.0 * math.sqrt(3.0) * sigma / (d2 * math.sqrt(d))
     raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")

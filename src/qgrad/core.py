@@ -137,10 +137,13 @@ def _real(name: str, value) -> float:
 
 
 def _symmetric(H, d: int) -> np.ndarray:
-    """H as a float (d, d) matrix, after checking that it is symmetric (rtol = atol = 1e-12)."""
+    """H as a float (d, d) matrix, after checking that it is finite and symmetric
+    (rtol = atol = 1e-12)."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape != (d, d):
         raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"H must be finite, got {H.tolist()}")
     if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
         raise ValueError("H must be symmetric")
     return H

@@ -35,17 +35,6 @@ class TestFunction:
     hess: Callable[[np.ndarray], np.ndarray]
 
 
-def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
-    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
-    values = np.asarray(f.eval(points), dtype=float)
-    if values.shape != points.shape[:-1]:
-        raise ValueError(
-            f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
-            f"of shape {values.shape}, expected {points.shape[:-1]}"
-        )
-    return values
-
-
 def _points(x, d: int) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0:

@@ -8,8 +8,11 @@ exp(i*2*pi*g(delta)/N_o).  For integer-valued oracles this phase action is
 exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
-`_oracle_blocks`, the one walk of f over the lattice, evaluates that query in
-row-major blocks, so the state is the only lattice-sized array of the build.
+`_walk`, the one walk of f over the lattice, evaluates that query in
+row-major blocks, so the state is the only lattice-sized array of the build;
+the phases come from a table of the N_o register values only when that table
+is smaller than the lattice and no larger than a block.  A grid holds its
+amplitudes or probabilities as one C-contiguous flat array.
 
 The build and the transform at d >= 2 split their independent work into
 contiguous chunks, one per usable core, on one module-level thread pool
@@ -44,7 +47,7 @@ from .core import (
     nearest_lattice_index,
     quantize_output,
 )
-from .functions import TestFunction, _evaluate
+from .functions import TestFunction
 
 # Lattice points per block of the oracle walk (the phase-grid build and
 # `functions.scanned_range`), of |amps|^2, of sampling and of the d=1 variance.
@@ -83,7 +86,7 @@ def _in_chunks(task, n: int) -> list:
 
 
 def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).reshape(-1)
+    arr = np.ascontiguousarray(values, dtype=dtype).reshape(-1)
     if arr.size != spec.size:
         raise ValueError(f"{what} has length {arr.size}, expected N**d = {spec.size}")
     return arr
@@ -137,21 +140,22 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     g(delta) = quantize_output(f.eval(encode_input(delta))).  Every lattice
     evaluation belongs to the single superposed query.
 
-    The state is filled block by block from `_oracle_blocks`, each worker
-    of `_walk` filling the slice of its own blocks.  `f.eval` is called once
-    per block, possibly from several threads at once, must be vectorized,
-    and must give each point's value from that point alone, not from the
-    rest of the batch.  The 2**53 limit of `fixed_point` is checked block by
+    The state is filled block by block from `_walk`, each worker filling
+    the slice of its own blocks.  `f.eval` is called once per block,
+    possibly from several threads at once, must be vectorized, and must
+    give each point's value from that point alone, not from the rest of
+    the batch.  The 2**53 limit of `fixed_point` is checked block by
     block, and an error reports the min and max of the first offending block
-    in row order.  When N_o < N^d the phases are looked up in a table of the
-    N_o register values; the table holds the same expression, so both ways
-    give the same amplitudes to the bit.  The state, 16 bytes per point, is
-    the only lattice-sized array built.
+    in row order.  When N_o < N^d and N_o <= BLOCK_POINTS the phases are
+    looked up in a table of the N_o register values, never larger than a
+    block; the table holds the same expression, so both ways give the same
+    amplitudes to the bit.  The state, one C-contiguous array of 16 bytes
+    per point, is the only lattice-sized array built.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
     table = None
-    if spec.N_o < spec.size:
+    if spec.N_o < spec.size and spec.N_o <= BLOCK_POINTS:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
 
     def fill(blocks):
@@ -168,31 +172,40 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
 
 
 def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
-    """[consume(_oracle_blocks(f, spec, first, last))] over contiguous runs of
-    blocks, one per worker, in row order (see `_in_chunks`)."""
-    blocks = -(-spec.size // _block_rows(spec))
-    return _in_chunks(lambda first, last: consume(_oracle_blocks(f, spec, first, last)), blocks)
+    """The one walk of f over the lattice: [consume(blocks)] over contiguous
+    runs of blocks, one per worker, in row order (see `_in_chunks`).
+
+    A block is the whole last-axis lines that fit in BLOCK_POINTS, or
+    BLOCK_POINTS rows if a line is longer; `blocks` yields each block's
+    (start, stop, f at rows [start, stop)).
+    """
+    rows = spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
+
+    def blocks(first, last):
+        for start in range(first * rows, min(last * rows, spec.size), rows):
+            stop = min(start + rows, spec.size)
+            # a local name for the values would keep them alive after the consumer drops them
+            yield start, stop, _evaluate(f, _block_points(spec, start, stop))
+
+    return _in_chunks(lambda first, last: consume(blocks(first, last)), -(-spec.size // rows))
 
 
-def _block_rows(spec: ProblemSpec) -> int:
-    """Rows per block: the whole last-axis lines that fit in BLOCK_POINTS,
-    or BLOCK_POINTS rows if a line is longer."""
-    return spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
-
-
-def _oracle_blocks(f: TestFunction, spec: ProblemSpec, first: int, last: int):
-    """(start, stop, f at rows [start, stop)) for blocks first..last-1."""
-    rows = _block_rows(spec)
-    for start in range(first * rows, min(last * rows, spec.size), rows):
-        stop = min(start + rows, spec.size)
-        yield start, stop, _evaluate(f, _block_points(spec, start, stop))
+def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
+    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
+    values = np.asarray(f.eval(points), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise ValueError(
+            f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
+            f"of shape {values.shape}, expected {points.shape[:-1]}"
+        )
+    return values
 
 
 def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
     """Encoded points of rows [start, stop), shape (stop - start, d).
 
-    A block of 2N rows or more, whole last-axis lines as `_oracle_blocks`
-    makes them, enumerates only its first line and its line heads: along a
+    A block of 2N rows or more, whole last-axis lines as `_walk` makes
+    them, enumerates only its first line and its line heads: along a
     line only the last coordinate changes, and encode_input maps each column
     on its own, so every point takes its leading coordinates from its line's
     head and its last one from the first line.  Any other block enumerates
@@ -522,8 +535,10 @@ def run_gradient_estimation(
 
 
 def apply_phase_error(grid: AmplitudeGrid, errors) -> AmplitudeGrid:
-    """New grid with per-point phases rotated by `errors` (radians, flat or shaped)."""
+    """New grid with per-point phases rotated by finite `errors` (radians, flat or shaped)."""
     eps = np.asarray(errors, dtype=float).reshape(-1)
     if eps.size != grid.amps.size:
         raise ValueError(f"errors has length {eps.size}, expected {grid.amps.size}")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("errors must be finite")
     return replace(grid, amps=grid.amps * np.exp(1j * eps))

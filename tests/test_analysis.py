@@ -83,6 +83,16 @@ def test_one_symmetry_tolerance_for_prediction_and_function():
                     check()
 
 
+def test_hessian_must_be_finite():
+    # a NaN Hessian was reported as asymmetric, and an infinite one was accepted
+    spec = spec_for(d=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        for H in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            for check in (lambda: stationary_phase_sigma(H, spec), lambda: quadratic([0.0, 0.0], H)):
+                with pytest.raises(ValueError, match="H must be finite"):
+                    check()
+
+
 def test_sigma_grad_independent_of_lattice_size():
     H = np.array([[0.7, 0.2], [0.2, -0.4]])
     values = []
@@ -201,6 +211,20 @@ def test_precision_input_validation():
         quantum_precision_bits(1.0, 0.0, 1.0, 1.0, 4, 7.0)
 
 
+def test_precision_bits_reject_non_finite_inputs():
+    # each of these once returned nan or inf, or raised "math domain error"
+    good = dict(f_max=1.0, f_min=0.0, m=1.0, l=1.0, n=4.0)
+    bad = [("n", math.nan), ("n", math.inf), ("f_max", math.inf), ("f_max", math.nan),
+           ("f_min", -math.inf), ("f_min", math.nan), ("m", math.inf), ("m", math.nan),
+           ("l", math.inf), ("l", -1.0)]
+    for name, value in bad:
+        args = {**good, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            classical_precision_bits(**args)
+        with pytest.raises(ValueError, match="finite"):
+            quantum_precision_bits(**args, theta=math.pi / 8)
+
+
 # --- success bound and optimal width ---
 
 def test_success_bound_values():
@@ -234,6 +258,25 @@ def test_optimal_width_validation():
         optimal_l(0.1, mode="quantum")
     with pytest.raises(ValueError):
         optimal_l(0.1, d2=1.0, mode="other")
+
+
+def test_optimal_width_rejects_non_finite_and_non_integer_inputs():
+    # sigma=inf once gave an infinite width, d2 or d3 = inf a width of 0.0
+    for sigma in (math.inf, math.nan):
+        for mode in ("classical", "quantum"):
+            with pytest.raises(ValueError, match="sigma"):
+                optimal_l(sigma, d2=1.0, d3=1.0, mode=mode)
+    for value in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="d3"):
+            optimal_l(0.1, d3=value, mode="classical")
+        with pytest.raises(ValueError, match="d2"):
+            optimal_l(0.1, d2=value, mode="quantum")
+    for d in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            optimal_l(0.1, d2=1.0, d=d, mode="quantum")
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            optimal_l(0.1, d2=1.0, d=d, mode="quantum")
 
 
 # --- stationary-phase normalization sanity against simulation ---

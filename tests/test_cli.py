@@ -232,6 +232,38 @@ def test_validation_failure_exits_2(tmp_path):
         assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_function_options_exit_2(tmp_path, capsys):
+    cases = [
+        (["run", "--function", "bogus"], "unknown function 'bogus'"),
+        (["run", "--function", "quadratic", "--alpha", "0.02", "--hessian", "1"],
+         "--alpha and --hessian are mutually exclusive"),
+        (["run", "--d", "2", "--function", "quadratic", "--hessian", "1,2,3"],
+         "--hessian needs 4 row-major entries"),
+        (["run", "--d", "2", "--gradient", "1,2,3"], "--gradient needs 1 or 2 components"),
+        (["run", "--d", "2", "--function", "sinusoid", "--wavevector", "1,2,3"],
+         "--wavevector needs 1 or 2 components"),
+        (["run", "--d", "2", "--function", "cubic_1d"], "cubic_1d is one-dimensional"),
+        (["sweep-n", "--N", ""], "--N must list at least one lattice size"),
+        (["sweep-alpha", "--alpha", ""], "--alpha must list at least one curvature"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "f.csv"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists()
+
+
+def test_run_rejects_a_hessian_that_is_not_finite(tmp_path, capsys):
+    # inf once ran and failed on the gradient N*g/m; nan was called asymmetric
+    for hessian in ("inf", "nan", "1,-inf,-inf,1"):
+        out = tmp_path / "h.csv"
+        d = "2" if "," in hessian else "1"
+        assert main(["run", "--d", d, "--function", "quadratic", "--hessian", hessian,
+                     "--shots", "0", "--out", str(out)]) == 2
+        assert "H must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("peak2d ran the estimation before checking its slack")

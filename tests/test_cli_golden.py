@@ -4,7 +4,9 @@ The SHA-256 values were recorded from the program before the lattice and
 sweep refactor; any change to them means the CLI artifacts changed.  To
 re-record after an intended output change, run this file as a script.
 The "run-negative-zero" case pins a signed-zero cell ("-0"); it was recorded
-before the writer took one printf code per column.
+before the writer took one printf code per column.  The cubic, sinusoid and
+curvature-free quadratic "run" cases cover the catalog's other builders; they
+were recorded before the lattice walk was folded into one function.
 """
 import hashlib
 import sys
@@ -23,6 +25,21 @@ GOLDEN = {
         ["run", "--function", "linear", "--gradient", "-0", "--N", "8", "--n-o", "5",
          "--shots", "0"],
         "0b7ff39ce1ca6df974967ce3039c3a2fcf749be42c2a519f5b56032904867fd3",
+    ),
+    "run-cubic-1d": (
+        ["run", "--function", "cubic_1d", "--a3", "0.5", "--N", "32", "--n-o", "12",
+         "--shots", "50", "--seed", "2"],
+        "57190bffcd1ffcea2216b93c66b81909601ff1bba0381d7a3128b9b8bc47d8a4",
+    ),
+    "run-sinusoid": (
+        ["run", "--d", "2", "--N", "16", "--function", "sinusoid", "--amplitude", "0.3",
+         "--wavevector", "0.5,-0.25", "--shots", "40", "--seed", "4"],
+        "ae1ceaa3a5c66866649ff4c0fa896eb785cba4d03ce2baea2be80f5b993bdaf5",
+    ),
+    "run-quadratic-without-curvature": (
+        ["run", "--d", "2", "--N", "8", "--function", "quadratic", "--gradient", "0.25,-0.125",
+         "--shots", "20", "--seed", "1"],
+        "82eb3742d7d17ea0699ec8f342022b83b180baa32d58ef8a759aad58d90e45e1",
     ),
     "sweep-n": (
         ["sweep-n", "--alpha", "0.02", "--N", "16,24,40", "--seed", "5"],

@@ -12,6 +12,7 @@ import pytest
 
 from qgrad import (
     AmplitudeGrid,
+    OutcomeDistribution,
     ProblemSpec,
     apply_phase_error,
     build_phase_state,
@@ -303,6 +304,10 @@ MEMORY_CASES = [
                  quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]]), id="24"),  # direct exp
     pytest.param(ProblemSpec(d=1, N=2 ** 20, n_o=16, l=1.0, m=1.0),
                  quadratic([0.1], [[0.002]]), id="d1"),  # circular statistics over the whole state
+    # a register wider than one block takes the direct exp: a table of N_o entries
+    # would be a second array nearly the size of the lattice
+    pytest.param(ProblemSpec(d=1, N=2 ** 20, n_o=19, l=1.0, m=1.0),
+                 quadratic([0.1], [[0.002]]), id="d1-wide-register"),
 ]
 
 
@@ -449,6 +454,20 @@ def test_probabilities_into_the_state_buffer_give_the_same_bits(N, d):
     assert np.array_equal(dist.probs, expected)
 
 
+def test_in_place_works_on_a_strided_grid():
+    # the grid stores a contiguous copy of strided input, and no copy of contiguous input
+    x = random_grid(16, 1, seed=7).amps
+    spec = lattice(1, 8)
+    assert np.shares_memory(AmplitudeGrid(spec, x[:8]).amps, x)
+    strided = AmplitudeGrid(spec, x[::2])
+    assert strided.amps.flags.c_contiguous and not np.shares_memory(strided.amps, x)
+    expected = fourier_transform(strided).amps
+    assert np.array_equal(fourier_transform(AmplitudeGrid(spec, x[::2]), in_place=True).amps, expected)
+    expected = outcome_distribution(strided).probs
+    assert np.array_equal(outcome_distribution(AmplitudeGrid(spec, x[::2]), in_place=True).probs, expected)
+    assert OutcomeDistribution(spec, (np.abs(x) ** 2)[::2]).probs.flags.c_contiguous
+
+
 def test_point_mass_sampling_is_constant():
     probs = np.zeros(16)
     probs[11] = 1.0
@@ -571,6 +590,12 @@ def test_circular_mean_never_returns_N():
     probs[0], probs[15] = 1.0, 1e-18
     assert circular_mean(probs) == 0.0
     assert circular_variance(probs, circular_mean(probs)) == pytest.approx(1e-18)
+
+
+def test_circular_mean_of_uniform_weights_is_zero():
+    # the resultant of N equal weights vanishes, so the mean is undefined and reads 0.0
+    for N in [*range(2, 300), 2 ** 16, 2 ** 20]:
+        assert circular_mean(np.ones(N)) == 0.0, N
 
 
 def test_circular_stats_reject_unusable_weights():
@@ -725,3 +750,14 @@ def test_phase_error_shape_validated():
     grid = ideal_planewave([0.0], spec)
     with pytest.raises(ValueError):
         apply_phase_error(grid, np.zeros(7))
+
+
+def test_phase_errors_must_be_finite():
+    # a NaN error once gave a NaN state without a word
+    spec = ProblemSpec(d=1, N=8, n_o=4, l=1.0, m=1.0)
+    grid = ideal_planewave([0.0], spec)
+    for bad in (np.nan, np.inf, -np.inf):
+        errors = np.zeros(8)
+        errors[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            apply_phase_error(grid, errors)
