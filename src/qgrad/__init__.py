@@ -16,11 +16,9 @@ from .core import (
     lattice_points,
     nearest_lattice_index,
     quantize_output,
-    round_half_up,
     signed_index,
 )
 from .functions import (
-    CATALOG,
     TestFunction,
     cubic_1d,
     linear,
@@ -68,9 +66,7 @@ __all__ = [
     "decode_outcome",
     "signed_index",
     "nearest_lattice_index",
-    "round_half_up",
     "TestFunction",
-    "CATALOG",
     "linear",
     "quadratic",
     "cubic_1d",

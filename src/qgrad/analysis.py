@@ -39,11 +39,6 @@ class SigmaPrediction:
     sigma_grad: np.ndarray
     support_matrix: np.ndarray
 
-    @property
-    def support_volume(self) -> float:
-        """|det A|, the lattice-cell volume of the predicted region."""
-        return float(abs(np.linalg.det(self.support_matrix)))
-
 
 def stationary_phase_sigma(H, spec: ProblemSpec) -> SigmaPrediction:
     """Predicted outcome spread for Hessian H at the given problem parameters."""
@@ -80,7 +75,7 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
 def classical_precision_bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
     """Bits of function precision a classical estimator needs for n output bits."""
     _check_range(f_max, f_min, m, l, n)
-    return math.log2((f_max - f_min) * 2.0 ** n / (m * l))
+    return _bits(f_max, f_min, m, l, n)
 
 
 def quantum_precision_bits(
@@ -93,7 +88,17 @@ def quantum_precision_bits(
     """
     _check_range(f_max, f_min, m, l, n)
     _check_theta(theta)
-    return math.log2((f_max - f_min) * 2.0 ** n / (m * l * theta / (2.0 * math.pi)))
+    return _bits(f_max, f_min, m, l, n) + math.log2(2.0 * math.pi / theta)
+
+
+def _bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
+    """log2((f_max - f_min) * 2**n / (m*l)), summed as logs so that no step overflows.
+
+    A range too wide for a float is taken as (f_max/2 - f_min/2) plus one bit.
+    """
+    span = f_max - f_min
+    range_bits = math.log2(span) if math.isfinite(span) else math.log2(f_max / 2.0 - f_min / 2.0) + 1.0
+    return range_bits + n - math.log2(m) - math.log2(l)
 
 
 def _check_range(f_max: float, f_min: float, m: float, l: float, n: float):

@@ -35,8 +35,11 @@ from .analysis import (
 )
 from .classical import central_difference, error_scaling_fit, forward_difference
 from .core import MAX_POINTS, ProblemSpec, _shown, lattice_points, signed_index
-from .functions import CATALOG, cubic_1d, linear, quadratic, scanned_range, sinusoid
+from .functions import cubic_1d, linear, quadratic, scanned_range, sinusoid
 from .qsim import run_gradient_estimation
+
+# the catalog builders `--function` may name
+_FUNCTIONS = ("linear", "quadratic", "cubic_1d", "sinusoid")
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,8 +98,8 @@ def _spec_from_args(args, d: int | None = None) -> ProblemSpec:
 
 def _build_function(args, spec: ProblemSpec):
     name = args.function
-    if name not in CATALOG:
-        raise ValueError(f"unknown function {name!r}; choose from {sorted(CATALOG)}")
+    if name not in _FUNCTIONS:
+        raise ValueError(f"unknown function {name!r}; choose from {sorted(_FUNCTIONS)}")
     grad = np.array(_per_axis(args.gradient, spec.d, "--gradient"))
     if name == "linear":
         return linear(grad, c=args.coeff)
@@ -118,7 +121,7 @@ def _build_function(args, spec: ProblemSpec):
         if spec.d != 1:
             raise ValueError("cubic_1d is one-dimensional; use --d 1")
         return cubic_1d(args.a3)
-    # the CATALOG check above leaves "sinusoid"
+    # the _FUNCTIONS check above leaves "sinusoid"
     return sinusoid(args.amplitude, _per_axis(args.wavevector, spec.d, "--wavevector"))
 
 
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--d", type=int, default=1, help="number of dimensions")
     run.add_argument("--x0", type=_float_list, default=None, help="evaluation point, comma-separated")
-    run.add_argument("--function", default="linear", help=f"one of {sorted(CATALOG)}")
+    run.add_argument("--function", default="linear", help=f"one of {sorted(_FUNCTIONS)}")
     run.add_argument("--gradient", type=_float_list, default=[0.0], help="linear coefficients")
     run.add_argument("--hessian", type=_float_list, default=None, help="row-major Hessian entries")
     run.add_argument("--alpha", type=float, default=None, help="1D curvature (l/2m)*f''")

@@ -9,7 +9,7 @@ These maps tie the integer lattices to physical quantities:
 
 `l` is the side length of the sampled hypercube, `m` the width of the symmetric
 interval [-m/2, m/2) assumed to bound each gradient component.  Rounding is
-round-to-nearest with ties toward +inf, centralized in `round_half_up` so the
+round-to-nearest with ties toward +inf, centralized in `_round_half_up` so the
 convention can be swapped in one place.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ EXACT_FLOAT_INT = 2.0 ** 53
 MAX_N_O = 52
 
 
-def round_half_up(x) -> np.ndarray:
+def _round_half_up(x) -> np.ndarray:
     """Nearest integer, ties toward +inf (3.5 -> 4, -2.5 -> -2)."""
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
@@ -201,7 +201,7 @@ def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
             f"N*N_o*f/(m*l) must be finite and below 2**53 in magnitude, got values in "
             f"[{scaled.min()}, {scaled.max()}]; lower n_o or N, or widen m*l"
         )
-    return round_half_up(scaled)
+    return _round_half_up(scaled)
 
 
 def quantize_output(f_val, spec: ProblemSpec):
@@ -244,4 +244,4 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
     if not np.all(np.abs(scaled) < 2.0 ** 63):
         raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g}")
     # ties toward -inf: the negated round-half-up of the negated value
-    return -round_half_up(-scaled) % spec.N
+    return -_round_half_up(-scaled) % spec.N

@@ -24,8 +24,10 @@ class TestFunction:
     shape (...), and each value must depend only on its own point: the phase
     grid is built by calling it on row-major blocks of at most
     `qsim.BLOCK_POINTS` lattice points.  `eval` must be safe to call from
-    several threads at once, since the blocks are evaluated on a thread pool;
-    the catalog's functions are pure numpy.
+    several threads at once, since the blocks are evaluated on one thread per
+    usable core; the catalog's functions are pure numpy.  Those threads live
+    only for the call, so `eval` may itself call back into qgrad, for
+    instance to build another phase grid.
     """
 
     name: str
@@ -115,19 +117,12 @@ def sinusoid(amplitude: float, wavevector) -> TestFunction:
     return TestFunction(name="sinusoid", d=d, eval=ev, grad=gr, hess=he)
 
 
-CATALOG: dict[str, Callable[..., TestFunction]] = {
-    "linear": linear,
-    "quadratic": quadratic,
-    "cubic_1d": cubic_1d,
-    "sinusoid": sinusoid,
-}
-
-
 def scanned_range(fn: TestFunction, spec: ProblemSpec):
     """(min, max) of `fn` over every lattice point: exact bounds for the sampled domain.
 
-    The values come block by block from the phase-grid build's pooled lattice
-    walk, so `eval` is held to the same contract.  A NaN value gives NaN bounds.
+    The values come block by block from the phase-grid build's lattice walk,
+    threads and all, so `eval` is held to the same contract.  A NaN value
+    gives NaN bounds.
     """
     from .qsim import _walk  # qsim imports this module
 

@@ -15,11 +15,13 @@ is smaller than the lattice and no larger than a block.  A grid holds its
 amplitudes or probabilities as one C-contiguous flat array.
 
 The build and the transform at d >= 2 split their independent work into
-contiguous chunks, one per usable core, on one module-level thread pool
-(`_POOL`, `_WORKERS` threads); numpy releases the GIL in that work, and each
-chunk does exactly what the serial code does there, so the bits are the
-same.  Work of a single chunk (a one-block lattice) stays on the calling
-thread.  `outcome_distribution`, sampling and the statistics stay serial.
+contiguous chunks, one per usable core (`_WORKERS`): the calling thread runs
+the first chunk and a thread started for the call runs each other one, and
+every such thread is joined before the call returns.  numpy releases the GIL
+in that work, and each chunk does exactly what the serial code does there,
+so the bits are the same.  Work of a single chunk (the build of a one-block
+lattice) starts no thread.  `outcome_distribution`, sampling and the
+statistics stay serial.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,24 +67,40 @@ def _usable_cores() -> int:
 
 # One worker per usable core for the build and the multi-axis transform.
 _WORKERS = _usable_cores()
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad")
 
 
 def _in_chunks(task, n: int) -> list:
     """[task(first, last)] over contiguous chunks of range(n), one per worker, in order.
 
-    A single chunk runs on the calling thread.  Otherwise every chunk has
-    finished before anything is returned or raised, and an exception is the
-    one of the first failing chunk, so chunks that each stop at their first
-    failure report the failure that comes first in order.
+    The calling thread runs chunk 0 and a thread started here runs each
+    other chunk, so a single chunk starts no thread.  Every chunk has
+    finished, and every thread has been joined, before anything is returned
+    or raised; so no thread outlives the call, and a task may itself call
+    back into this function.  An exception is the one of the first failing
+    chunk, so chunks that each stop at their first failure report the
+    failure that comes first in order.
     """
     chunks = min(_WORKERS, n)
-    if chunks <= 1:
-        return [task(0, n)]
     bounds = [n * i // chunks for i in range(chunks + 1)]
-    futures = [_POOL.submit(task, first, last) for first, last in zip(bounds, bounds[1:])]
-    wait(futures)
-    return [future.result() for future in futures]
+    results = [None] * chunks
+    errors = [None] * chunks
+
+    def run(i):
+        try:
+            results[i] = task(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), name=f"qgrad_{i}") for i in range(1, chunks)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:

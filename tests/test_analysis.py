@@ -30,7 +30,7 @@ def test_zero_hessian_degenerate_prediction():
     pred = stationary_phase_sigma(np.zeros((2, 2)), spec_for(d=2))
     assert pred.sigma_k == pytest.approx([0.0, 0.0])
     assert pred.sigma_grad == pytest.approx([0.0, 0.0])
-    assert pred.support_volume == pytest.approx(0.0)
+    assert abs(np.linalg.det(pred.support_matrix)) == pytest.approx(0.0)
 
 
 def test_one_dimensional_reduction():
@@ -225,6 +225,15 @@ def test_precision_bits_reject_non_finite_inputs():
             quantum_precision_bits(**args, theta=math.pi / 8)
 
 
+def test_precision_bits_of_finite_inputs_whose_intermediates_overflow():
+    # f_max - f_min overflows, 2**n overflows, m*l underflows to 0
+    assert classical_precision_bits(1e308, -1e308, 1.0, 1.0, 4) == pytest.approx(math.log2(1e308) + 1 + 4)
+    assert classical_precision_bits(1.0, 0.0, 1.0, 1.0, 2000) == pytest.approx(2000.0)
+    assert classical_precision_bits(1.0, 0.0, 1e-300, 1e-300, 4) == pytest.approx(4 - 2 * math.log2(1e-300))
+    assert quantum_precision_bits(1e308, -1e308, 1e-300, 1e-300, 2000, math.pi / 8) == pytest.approx(
+        math.log2(1e308) + 1 + 2000 - 2 * math.log2(1e-300) + 4)
+
+
 # --- success bound and optimal width ---
 
 def test_success_bound_values():
@@ -292,4 +301,4 @@ def test_predicted_region_mass_density():
     signed = np.stack([K1, K2], axis=-1).reshape(-1, 2)
     inside = support_membership(signed, pred, slack=0.0)
     median_density = float(np.median(dist.probs[inside]))
-    assert 0.8 <= median_density * pred.support_volume <= 1.2
+    assert 0.8 <= median_density * abs(np.linalg.det(pred.support_matrix)) <= 1.2

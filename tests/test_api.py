@@ -7,8 +7,8 @@ import qgrad
 
 PUBLIC = {
     "ProblemSpec", "encode_input", "fixed_point", "quantize_output", "decode_outcome",
-    "signed_index", "nearest_lattice_index", "round_half_up", "lattice_points",
-    "TestFunction", "CATALOG", "linear", "quadratic", "cubic_1d", "sinusoid", "scanned_range",
+    "signed_index", "nearest_lattice_index", "lattice_points",
+    "TestFunction", "linear", "quadratic", "cubic_1d", "sinusoid", "scanned_range",
     "AmplitudeGrid", "OutcomeDistribution", "GradientEstimationReport", "build_phase_state",
     "fourier_transform", "outcome_distribution", "sample", "run_gradient_estimation",
     "apply_phase_error", "circular_mean", "circular_variance", "wrap_signed",
@@ -28,7 +28,6 @@ SIGNATURES = {
     "decode_outcome": "(k, spec)",
     "signed_index": "(k, N)",
     "nearest_lattice_index": "(gradient, spec)",
-    "round_half_up": "(x)",
     "lattice_points": "(spec, start=0, stop=None, step=1)",
     "linear": "(g, c=0.0)",
     "quadratic": "(g, H, c=0.0)",
@@ -68,7 +67,7 @@ DATACLASSES = {
         ["sigma_grad_measured", "sigma_k_measured"],
     ),
     "ClassicalReport": (["gradient_estimate", "queries"], []),
-    "SigmaPrediction": (["sigma_k", "sigma_grad", "support_matrix"], ["support_volume"]),
+    "SigmaPrediction": (["sigma_k", "sigma_grad", "support_matrix"], []),
 }
 
 
@@ -83,8 +82,8 @@ def test_public_api_is_pinned():
     assert len(qgrad.__all__) == len(PUBLIC)  # no name listed twice
     for name in PUBLIC:
         assert hasattr(qgrad, name), name
-    # every public name but the catalog and the version has its form pinned below
-    assert set(SIGNATURES) | set(DATACLASSES) | {"CATALOG", "__version__"} == PUBLIC
+    # every public name but the version has its form pinned below
+    assert set(SIGNATURES) | set(DATACLASSES) | {"__version__"} == PUBLIC
 
 
 def test_single_form_types_are_pinned():

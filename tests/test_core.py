@@ -11,8 +11,8 @@ from qgrad import (
     encode_input,
     nearest_lattice_index,
     quantize_output,
-    round_half_up,
 )
+from qgrad.core import _round_half_up
 
 
 def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
@@ -22,10 +22,10 @@ def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
 # --- Rounding convention (centralized, ties toward +inf) ---
 
 def test_round_half_up_ties():
-    assert round_half_up(2.5) == 3
-    assert round_half_up(-2.5) == -2
-    assert round_half_up(3.2) == 3
-    assert round_half_up(-0.5) == 0
+    assert _round_half_up(2.5) == 3
+    assert _round_half_up(-2.5) == -2
+    assert _round_half_up(3.2) == 3
+    assert _round_half_up(-0.5) == 0
 
 
 # --- encode_input: x = x0 + (l/N)(delta - N/2) ---
@@ -177,7 +177,7 @@ def test_signed_round_trip(N):
     hi = (N - 1) // 2
     for k_signed in range(lo, hi + 1):
         g = decode_outcome([k_signed % N], spec)
-        assert round_half_up(spec.N * g[0] / spec.m) == k_signed
+        assert _round_half_up(spec.N * g[0] / spec.m) == k_signed
 
 
 # --- nearest representable frequency (success definition) ---

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qgrad import (
-    CATALOG,
     ProblemSpec,
     build_phase_state,
+    cli,
     cubic_1d,
+    functions,
     linear,
     quadratic,
     scanned_range,
@@ -146,7 +147,9 @@ def test_central_differences_converge_at_second_order(fn):
 
 
 def test_catalog_names():
-    assert set(CATALOG) == {"linear", "quadratic", "cubic_1d", "sinusoid"}
+    # the CLI's --function choices are the catalog's builders
+    assert set(cli._FUNCTIONS) == {"linear", "quadratic", "cubic_1d", "sinusoid"}
+    assert all(callable(getattr(functions, name)) for name in cli._FUNCTIONS)
 
 
 # --- Range scanning over the sampled hypercube ---

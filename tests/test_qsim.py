@@ -238,9 +238,9 @@ def _outputs(f, spec):
             report.circular_mean_k, report.circular_variance_k)
 
 
-class NoPool:
-    def submit(self, *args):
-        raise AssertionError("work submitted to the pool")
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -248,7 +248,7 @@ class NoPool:
 def test_the_pool_gives_the_bits_of_one_worker(monkeypatch, spec, f, block, workers):
     monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
     monkeypatch.setattr(qsim, "_WORKERS", 1)
-    monkeypatch.setattr(qsim, "_POOL", NoPool())  # one worker works on the calling thread
+    monkeypatch.setattr(qsim.threading, "Thread", NoThread)  # one worker works on the calling thread
     serial = _outputs(f, spec)
     monkeypatch.undo()
     monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
@@ -267,18 +267,73 @@ def test_usable_cores_without_sched_getaffinity(monkeypatch):
     assert qsim._usable_cores() == 1
 
 
-def test_import_without_sched_getaffinity():
-    # macOS and Windows have no sched_getaffinity
+def _python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter, which must exit 0 within 60 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import os; del os.sched_getaffinity; import qgrad; print(qgrad.qsim._WORKERS)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == (os.cpu_count() or 1)
+    return proc.stdout
+
+
+def test_import_without_sched_getaffinity():
+    # macOS and Windows have no sched_getaffinity
+    code = "import os; del os.sched_getaffinity; import qgrad; print(qgrad.qsim._WORKERS)"
+    assert int(_python(code)) == (os.cpu_count() or 1)
+
+
+# the scripts below set two workers, so that they start threads on one core too
+def test_no_thread_outlives_a_call():
+    _python(f"""
+import threading
+from qgrad import ProblemSpec, build_phase_state, fourier_transform, qsim, quadratic, run_gradient_estimation
+qsim._WORKERS = 2
+before = threading.active_count()
+run_gradient_estimation(quadratic([0.1], [[0.4]]), ProblemSpec(d=1, N={3 * BLOCK_POINTS}, n_o=12, l=1.0, m=1.0))
+spec = ProblemSpec(d=2, N=64, n_o=12, l=1.0, m=1.0)
+fourier_transform(build_phase_state(quadratic([0.1, 0.2], [[0.3, 0.1], [0.1, -0.2]]), spec))
+assert threading.active_count() == before, threading.enumerate()
+""")
+
+
+def test_an_eval_may_build_another_phase_grid():
+    # every chunk of the outer build waits on a nested build of its own
+    _python(f"""
+from dataclasses import replace
+import numpy as np
+from qgrad import ProblemSpec, build_phase_state, linear, qsim
+qsim._WORKERS = 2
+f = linear([0.25])
+def nested(x):
+    build_phase_state(f, ProblemSpec(d=1, N={3 * BLOCK_POINTS}, n_o=12, l=1.0, m=1.0))
+    return f.eval(x)
+spec = ProblemSpec(d=1, N={2 * BLOCK_POINTS}, n_o=12, l=1.0, m=1.0)
+assert np.array_equal(build_phase_state(replace(f, eval=nested), spec).amps, build_phase_state(f, spec).amps)
+""")
+
+
+def test_a_fork_child_runs_after_its_parent_ran():
+    # the child of a process that ran on several threads starts threads of its own
+    _python("""
+import multiprocessing
+from qgrad import ProblemSpec, qsim, quadratic, run_gradient_estimation
+qsim._WORKERS = 2
+def run():
+    spec = ProblemSpec(d=2, N=1024, n_o=12, l=1.0, m=1.0)
+    run_gradient_estimation(quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]]), spec, shots=0)
+run()
+child = multiprocessing.get_context("fork").Process(target=run)
+child.start()
+child.join(30)
+if child.exitcode is None:
+    child.kill()
+    child.join()
+assert child.exitcode == 0, f"fork child exit code {child.exitcode}"
+""")
 
 
 def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(qsim, "_POOL", NoPool())
+    monkeypatch.setattr(qsim.threading, "Thread", NoThread)
     spec = ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0)
     f = quadratic([0.1], [[0.4]])
     run_gradient_estimation(f, spec, shots=10)
