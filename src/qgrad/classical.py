@@ -1,10 +1,10 @@
 """Classical finite-difference gradient baselines with query accounting.
 
-Forward differences use d+1 function evaluations, central differences 2d.
-Each query is one `f.eval` call; a blackbox that returns f with a finite
-number of bits is a `TestFunction` whose `eval` does the rounding.
-`error_scaling_fit` returns the log-log slope of the error against the step
-size as one float, nan at the noise floor.
+Forward differences use d+1 function evaluations and central differences 2d,
+all from one loop of per-axis queries f(x + s*e_i), one `f.eval` call each.
+A blackbox that returns f with a finite number of bits is a `TestFunction`
+whose `eval` does the rounding.  `error_scaling_fit` returns the log-log
+slope of the error against the step size as one float, nan at the noise floor.
 """
 from __future__ import annotations
 
@@ -31,16 +31,21 @@ def _stencil_center(x, l: float) -> np.ndarray:
     return x
 
 
+def _axis_queries(f: TestFunction, x: np.ndarray, s: float) -> np.ndarray:
+    """[f(x + s*e_i) for each axis i], one `f.eval` call per point."""
+    values = np.empty(x.size)
+    for i in range(x.size):
+        point = x.copy()
+        point[i] += s
+        values[i] = float(f.eval(point))
+    return values
+
+
 def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries."""
     x = _stencil_center(x, l)
     f0 = float(f.eval(x))
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        shifted = x.copy()
-        shifted[i] += l
-        grad[i] = (float(f.eval(shifted)) - f0) / l
-    return ClassicalReport(gradient_estimate=grad, queries=x.size + 1)
+    return ClassicalReport((_axis_queries(f, x, l) - f0) / l, queries=x.size + 1)
 
 
 def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
@@ -50,13 +55,8 @@ def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     order l^2 from the cubic ones.
     """
     x = _stencil_center(x, l)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += l / 2.0
-        lo[i] -= l / 2.0
-        grad[i] = (float(f.eval(hi)) - float(f.eval(lo))) / l
-    return ClassicalReport(gradient_estimate=grad, queries=2 * x.size)
+    hi, lo = _axis_queries(f, x, l / 2.0), _axis_queries(f, x, -l / 2.0)
+    return ClassicalReport((hi - lo) / l, queries=2 * x.size)
 
 
 _METHODS = {"forward": forward_difference, "central": central_difference}

@@ -36,6 +36,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,12 +74,12 @@ def _in_chunks(task, n: int) -> list:
     """[task(first, last)] over contiguous chunks of range(n), one per worker, in order.
 
     The calling thread runs chunk 0 and a thread started here runs each
-    other chunk, so a single chunk starts no thread.  Every chunk has
-    finished, and every thread has been joined, before anything is returned
-    or raised; so no thread outlives the call, and a task may itself call
-    back into this function.  An exception is the one of the first failing
-    chunk, so chunks that each stop at their first failure report the
-    failure that comes first in order.
+    other chunk, so a single chunk starts no thread.  Every started thread
+    is joined before anything is returned or raised, also after a failed
+    start, whose error is raised; so no thread outlives the call, and a
+    task may itself call back into this function.  An exception is the one
+    of the first failing chunk, so chunks that each stop at their first
+    failure report the failure that comes first in order.
     """
     chunks = min(_WORKERS, n)
     bounds = [n * i // chunks for i in range(chunks + 1)]
@@ -91,12 +92,16 @@ def _in_chunks(task, n: int) -> list:
         except BaseException as exc:
             errors[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i,), name=f"qgrad_{i}") for i in range(1, chunks)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    threads = []
+    try:
+        for i in range(1, chunks):
+            thread = threading.Thread(target=run, args=(i,), name=f"qgrad_{i}")
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -470,7 +475,7 @@ class GradientEstimationReport:
     The run works in one state buffer, so `distribution.probs` is a float64
     view of the first N**d * 8 bytes of the complex128 state (16 bytes per
     point), which lives as long as the report holds the distribution.
-    query_count is 1 for every run: the build's blocks are one superposed query.
+    query_count is the class constant 1: the build's blocks are one superposed query.
     """
 
     spec: ProblemSpec
@@ -483,7 +488,7 @@ class GradientEstimationReport:
     samples: np.ndarray
     circular_mean_k: np.ndarray
     circular_variance_k: np.ndarray
-    query_count: int
+    query_count: ClassVar[int] = 1
 
     @property
     def sigma_k_measured(self) -> np.ndarray:
@@ -492,11 +497,6 @@ class GradientEstimationReport:
     @property
     def sigma_grad_measured(self) -> np.ndarray:
         return (self.spec.m / self.spec.N) * self.sigma_k_measured
-
-
-def _gradient_in_range(g: np.ndarray, spec: ProblemSpec) -> bool:
-    """Every component in [-m/2, m/2), the range a measured outcome can decode to."""
-    return bool(np.all(g >= -spec.m / 2.0) and np.all(g < spec.m / 2.0))
 
 
 def run_gradient_estimation(
@@ -522,7 +522,7 @@ def run_gradient_estimation(
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
     success_probability = 0.0
-    if _gradient_in_range(true_gradient, spec):
+    if np.all(true_gradient >= -spec.m / 2.0) and np.all(true_gradient < spec.m / 2.0):
         success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])
 
     means = np.empty(spec.d)
@@ -545,7 +545,6 @@ def run_gradient_estimation(
         samples=draws,
         circular_mean_k=means,
         circular_variance_k=variances,
-        query_count=1,
     )
 
 

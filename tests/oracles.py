@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qgrad import AmplitudeGrid, ProblemSpec, TestFunction, fixed_point, lattice_points
+from qgrad import AmplitudeGrid, ProblemSpec, TestFunction, encode_input, fixed_point, lattice_points
 
 BRUTE_FORCE_MAX_POINTS = 4096
 
@@ -65,3 +65,27 @@ def quantized(f: TestFunction, spec: ProblemSpec) -> TestFunction:
     (the unwrapped oracle register) times one unit, m*l/(N*N_o)."""
     step = (spec.m * spec.l) / (spec.N * spec.N_o)
     return replace(f, eval=lambda p: fixed_point(f.eval(p), spec) * step)
+
+
+def counted(f: TestFunction) -> tuple[TestFunction, list]:
+    """f whose `eval` records a copy of the points of each call, and the list it appends them to."""
+    batches = []
+
+    def eval_(p):
+        batches.append(np.array(p, dtype=float))
+        return f.eval(p)
+    return replace(f, eval=eval_), batches
+
+
+def exact_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
+    """The unquantized phase grid exp(2*pi*i*r/N_o) / N^(d/2), r = N*N_o*f/(m*l).
+
+    r is the real number that `core.fixed_point` rounds, taken the same way,
+    and is reduced mod N_o before the exponential, where a large r would
+    lose the digits of its phase.  Guarded to small grids.
+    """
+    if spec.size > BRUTE_FORCE_MAX_POINTS:
+        raise ValueError(f"exact phase state limited to {BRUTE_FORCE_MAX_POINTS} points, got {spec.size}")
+    values = np.asarray(f.eval(encode_input(lattice_points(spec), spec)), dtype=float)
+    r = np.mod(values * (spec.N * spec.N_o) / (spec.m * spec.l), spec.N_o)
+    return AmplitudeGrid(spec, np.exp(2j * np.pi * r / spec.N_o) / spec.N ** (spec.d / 2.0))

@@ -16,9 +16,11 @@ from qgrad import (
     central_difference,
     classical_precision_bits,
     cubic_1d,
+    encode_input,
     error_scaling_fit,
     forward_difference,
     fourier_transform,
+    lattice_points,
     linear,
     outcome_distribution,
     quadratic,
@@ -28,7 +30,7 @@ from qgrad import (
     stationary_phase_sigma,
     support_membership,
 )
-from oracles import brute_force_transform, ideal_planewave, ideal_state_fidelity
+from oracles import brute_force_transform, counted, ideal_planewave, ideal_state_fidelity
 
 
 @contextmanager
@@ -55,11 +57,15 @@ def test_a1_single_query_accounting():
     with criterion("[A1] single query for any d, d+1 / 2d classically"):
         for d, N in ((1, 8), (2, 8), (3, 8), (5, 4), (8, 2)):
             spec = ProblemSpec(d=d, N=N, n_o=4, l=1.0, m=1.0)
-            f = linear(np.full(d, 0.1))
+            # the calls made: a one-block lattice is one eval call on every lattice point
+            f, batches = counted(linear(np.full(d, 0.1)))
             report = run_gradient_estimation(f, spec, shots=0)
-            assert report.query_count == 1
-            assert forward_difference(f, spec.x0, spec.l).queries == d + 1
-            assert central_difference(f, spec.x0, spec.l).queries == 2 * d
+            assert report.query_count == len(batches) == 1
+            assert np.array_equal(batches[0], encode_input(lattice_points(spec), spec))
+            batches.clear()
+            assert forward_difference(f, spec.x0, spec.l).queries == len(batches) == d + 1
+            batches.clear()
+            assert central_difference(f, spec.x0, spec.l).queries == len(batches) == 2 * d
 
 
 def test_a2_exact_linear_probability_one():

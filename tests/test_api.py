@@ -63,8 +63,8 @@ DATACLASSES = {
     "GradientEstimationReport": (
         ["spec", "mode_index", "mode_gradient", "true_gradient", "success_index",
          "success_probability", "distribution", "samples", "circular_mean_k",
-         "circular_variance_k", "query_count"],
-        ["sigma_grad_measured", "sigma_k_measured"],
+         "circular_variance_k"],
+        ["query_count", "sigma_grad_measured", "sigma_k_measured"],
     ),
     "ClassicalReport": (["gradient_estimate", "queries"], []),
     "SigmaPrediction": (["sigma_k", "sigma_grad", "support_matrix"], []),

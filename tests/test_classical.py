@@ -15,7 +15,7 @@ from qgrad import (
     linear,
     quadratic,
 )
-from oracles import quantized
+from oracles import counted, quantized
 
 
 # --- forward differences ---
@@ -35,8 +35,11 @@ def test_forward_truncation_on_parabola():
 
 
 def test_forward_query_count():
-    rep = forward_difference(linear([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0], 0.5)
-    assert rep.queries == 4  # d + 1
+    # the calls made, not only the formula: one f.eval call per query
+    for d in (1, 3, 8):
+        f, batches = counted(quadratic(np.linspace(-1.0, 1.0, d), np.eye(d)))
+        rep = forward_difference(f, np.zeros(d), 0.5)
+        assert len(batches) == rep.queries == d + 1
 
 
 # --- central differences ---
@@ -60,9 +63,10 @@ def test_central_cubic_error_value():
 
 
 def test_central_query_count():
-    f = linear(np.zeros(5))
-    rep = central_difference(f, np.zeros(5), 0.5)
-    assert rep.queries == 10  # 2d
+    for d in (1, 3, 8):
+        f, batches = counted(quadratic(np.linspace(-1.0, 1.0, d), np.eye(d)))
+        rep = central_difference(f, np.zeros(d), 0.5)
+        assert len(batches) == rep.queries == 2 * d
 
 
 def test_step_must_be_positive():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgrad import (
@@ -15,18 +15,22 @@ from qgrad import (
     build_phase_state,
     circular_mean,
     circular_variance,
+    cubic_1d,
     decode_outcome,
     encode_input,
     fixed_point,
     fourier_transform,
     lattice_points,
+    linear,
     nearest_lattice_index,
     qsim,
     quadratic,
     quantize_output,
+    run_gradient_estimation,
+    sinusoid,
     wrap_signed,
 )
-from oracles import ideal_planewave, ideal_state_fidelity
+from oracles import exact_phase_state, ideal_planewave, ideal_state_fidelity
 
 FAST = settings(max_examples=50, deadline=None)
 
@@ -178,6 +182,80 @@ def test_bounded_phase_noise_keeps_fidelity_above_cos_theta(spec, theta, seed):
     eps = rng.uniform(-theta, theta, size=spec.size)
     noisy = apply_phase_error(ideal_planewave(g, spec), eps)
     assert ideal_state_fidelity(noisy, g) ** 2 >= np.cos(theta) ** 2 - 1e-12
+
+
+# -- The paper's guarantees, end to end --------------------------------------
+
+# largest N per d, so that N**d stays at or below 4096 points
+MAX_PAPER_N = {1: 4096, 2: 64, 3: 16, 4: 8}
+# the one tolerance: a probability or fidelity at its bound may come out a few
+# float64 roundings below it (the scale N**(d/2) and the exponential round each
+# amplitude, the products and the sum round a few times more)
+ROUNDINGS = 8 * np.finfo(float).eps
+
+
+@st.composite
+def paper_specs(draw, max_n_o):
+    d = draw(st.integers(1, 4))
+    return ProblemSpec(
+        d=d,
+        N=draw(st.integers(2, MAX_PAPER_N[d])),
+        n_o=draw(st.integers(1, max_n_o)),
+        l=draw(st.floats(0.1, 4.0)),
+        m=draw(st.floats(0.1, 4.0)),
+        x0=draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)),
+    )
+
+
+@FAST
+@given(paper_specs(max_n_o=20), st.data())
+def test_off_lattice_gradient_keeps_the_phase_estimation_bound(spec, data):
+    # any gradient in [-m/2, m/2)^d: lattice frequency k plus an offset of up to half a step
+    N, d = spec.N, spec.d
+    k = np.array(data.draw(st.lists(st.integers(-(N // 2), (N - 1) // 2), min_size=d, max_size=d)))
+    offset = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d)))
+    g = spec.m * (k + offset) / N
+    assume(np.all(g >= -spec.m / 2.0) and np.all(g < spec.m / 2.0))
+    report = run_gradient_estimation(linear(g, c=data.draw(st.floats(-1.0, 1.0))), spec, shots=0)
+    # each axis's distance from the success frequency, in cycles per lattice step
+    delta = ((N * g / spec.m - report.success_index + N / 2.0) % N - N / 2.0) / N
+    # the finite-N ideal mass sin^2(pi N delta) / (N^2 sin^2(pi delta)) per axis
+    p_ideal = float(np.prod((np.sinc(N * delta) / np.sinc(delta)) ** 2))
+    theta = np.pi / spec.N_o  # the largest phase rounding
+    base = np.cos(theta) * np.sqrt(p_ideal) - np.sin(theta)
+    if base > 0.0:
+        assert report.success_probability >= base ** 2 - ROUNDINGS
+
+
+def catalog_functions(d):
+    scalars = st.floats(-2.0, 2.0)
+    vectors = st.lists(scalars, min_size=d, max_size=d).map(np.array)
+    symmetric = st.lists(vectors, min_size=d, max_size=d).map(lambda rows: np.array(rows) + np.array(rows).T)
+    functions = [
+        st.builds(linear, vectors, c=scalars),
+        st.builds(quadratic, vectors, symmetric, c=scalars),
+        st.builds(sinusoid, scalars, vectors),
+    ]
+    if d == 1:
+        functions.append(st.builds(cubic_1d, scalars))
+    return st.one_of(functions)
+
+
+@FAST
+@given(paper_specs(max_n_o=30), st.data())
+def test_the_precision_budget_buys_the_phase_accuracy(spec, data):
+    # rounding N*N_o*f/(m*l) moves each phase by at most pi/N_o, so the built
+    # state keeps fidelity cos(pi/N_o) with the unquantized one
+    f = data.draw(catalog_functions(spec.d))
+    try:
+        built = build_phase_state(f, spec)
+    except ValueError as exc:
+        assume("2**53" not in str(exc))  # a register past exact rounding is rejected, not built
+        raise
+    # np.sum's pairwise sum stays within ROUNDINGS; np.vdot came out up to 24 roundings below
+    # the bound where n_o is near 30 and cos(pi/N_o) rounds to 1
+    fidelity = abs(np.sum(exact_phase_state(f, spec).amps.conj() * built.amps))
+    assert fidelity >= np.cos(np.pi / spec.N_o) - ROUNDINGS
 
 
 # -- Circular statistics against the direct formulas ---------------------------

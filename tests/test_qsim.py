@@ -2,6 +2,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -34,7 +36,7 @@ from qgrad import (
     wrap_signed,
 )
 from qgrad.qsim import BLOCK_POINTS
-from oracles import brute_force_transform, choice_draws, ideal_planewave, ideal_state_fidelity
+from oracles import brute_force_transform, choice_draws, counted, ideal_planewave, ideal_state_fidelity
 
 
 def lattice(d, N):
@@ -174,6 +176,22 @@ def test_build_calls_each_stage_once_per_block(monkeypatch):
         build_phase_state(f, spec)
         assert calls == {"lattice_points": enumerations, "encode_input": enumerations,
                          "quantize_output": blocks, "eval": blocks}
+
+
+@pytest.mark.parametrize("spec,blocks", [
+    (STREAMED_CASES[0][0], 3),  # one line of 2B + 100 points
+    (ProblemSpec(d=3, N=48, n_o=8, l=1.0, m=1.0), 2),  # 48**3 points, 1365 lines per block
+])
+def test_the_build_queries_every_lattice_row_once(monkeypatch, spec, blocks):
+    # the one superposed query: the eval batches of all workers together hold
+    # each encoded lattice point exactly once
+    monkeypatch.setattr(qsim, "_WORKERS", 2)
+    f, batches = counted(quadratic(np.full(spec.d, 0.1), 0.4 * np.eye(spec.d)))
+    build_phase_state(f, spec)
+    assert len(batches) == blocks
+    points = np.concatenate(batches)
+    points = points[np.lexsort(points.T[::-1])]  # row-major order, as the encoding keeps it
+    assert np.array_equal(points, encode_input(lattice_points(spec), spec))
 
 
 # d=1, four blocks (B, B, B, 100): two workers take blocks 0-1 and 2-3
@@ -339,6 +357,30 @@ def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
     run_gradient_estimation(f, spec, shots=10)
     scanned_range(f, spec)
     build_phase_state(sinusoid(0.5, [1.0, 2.0, -1.0, 0.5]), ProblemSpec(d=4, N=16, n_o=8, l=1.0, m=1.0))
+
+
+def test_a_failed_thread_start_joins_the_started_threads(monkeypatch):
+    # three chunks of one slow block each: qgrad_1 starts and sleeps, qgrad_2 fails to start
+    starts = []
+
+    class SecondStartFails(threading.Thread):
+        def start(self):
+            starts.append(self.name)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    def slow(x):
+        time.sleep(0.5)
+        return np.zeros(x.shape[:-1])
+
+    monkeypatch.setattr(qsim, "_WORKERS", 3)
+    monkeypatch.setattr(qsim.threading, "Thread", SecondStartFails)
+    spec = ProblemSpec(d=1, N=3 * BLOCK_POINTS, n_o=8, l=1.0, m=1.0)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        build_phase_state(replace(linear([0.0]), eval=slow), spec)
+    assert starts == ["qgrad_1", "qgrad_2"]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("qgrad_")]
 
 
 def _traced_peak(call) -> int:
