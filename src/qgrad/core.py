@@ -208,8 +208,10 @@ def quantize_output(f_val, spec: ProblemSpec):
     """Fixed-point oracle output: fixed_point(f) reduced mod N_o.
 
     The modular wrap models an n_o-bit register written by modular addition.
+    N_o = 2**n_o with n_o <= 52, so the reduction is a mask of the low n_o
+    bits, which gives the int64 `%` gives, negative registers included.
     """
-    return fixed_point(f_val, spec) % spec.N_o
+    return fixed_point(f_val, spec) & (spec.N_o - 1)
 
 
 def signed_index(k, N: int) -> np.ndarray:

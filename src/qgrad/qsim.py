@@ -14,14 +14,17 @@ the phases come from a table of the N_o register values only when that table
 is smaller than the lattice and no larger than a block.  A grid holds its
 amplitudes or probabilities as one C-contiguous flat array.
 
-The build and the transform at d >= 2 split their independent work into
-contiguous chunks, one per usable core (`_WORKERS`): the calling thread runs
-the first chunk and a thread started for the call runs each other one, and
-every such thread is joined before the call returns.  numpy releases the GIL
-in that work, and each chunk does exactly what the serial code does there,
-so the bits are the same.  Work of a single chunk (the build of a one-block
-lattice) starts no thread.  `outcome_distribution`, sampling and the
-statistics stay serial.
+The build and the transform split their independent work into contiguous
+chunks, one per usable core (`_WORKERS`): the calling thread runs the first
+chunk and a thread started for the call runs each other one, and every such
+thread is joined before the call returns.  numpy releases the GIL in that
+work, and each chunk does exactly what the serial code does there, so the
+bits are the same.  Work of a single chunk (the build of a one-block
+lattice) starts no thread.  At d = 1 only a line of N = n1**2 > BLOCK_POINTS
+points is split: it takes a four-step FFT over an (n1, n1) view of its own
+buffer, whose rounding differs from pocketfft's by a few float64 roundings
+of max |X|; any other d = 1 line is one serial `np.fft.fftn` call.
+`outcome_distribution`, sampling and the statistics stay serial.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -259,12 +262,25 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
     two passes over the workers: axes d-1..1 on chunks of axis 0, then
     axis 0 on chunks of axis 1.  Each line is transformed as `fftn` would,
     so the result is the same to the bit.
+
+    For d = 1 with N above BLOCK_POINTS and N = n1**2, the line is
+    transformed by `_four_step` in the output buffer itself, in three
+    passes over the workers, with the same bits for any worker count.  Its
+    rounding is not pocketfft's: against one `np.fft.fft` of the line the
+    results differ by a few float64 roundings of max |X| (about 5e-16 of
+    it at 2**18..2**22).  Any other d = 1 line is one `np.fft.fftn` call.
     """
     spec = grid.spec
     a = grid.reshaped()
     scale = spec.N ** (spec.d / 2.0)
     # every axis pass writes the one output array, which is then scaled in place
     out = a if in_place else np.empty(spec.shape, dtype=complex)
+    n1 = math.isqrt(spec.N)
+    if spec.d == 1 and spec.N > BLOCK_POINTS and n1 * n1 == spec.N:
+        if not in_place:
+            np.copyto(out, a)
+        _four_step(out.reshape(n1, n1), scale)
+        return replace(grid, amps=out)
     if spec.d == 1:
         np.fft.fftn(a, out=out)
     else:
@@ -280,6 +296,62 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
         _in_chunks(first_axis, spec.N)
     out /= scale
     return replace(grid, amps=out.reshape(-1))
+
+
+def _four_step(a: np.ndarray, scale: float) -> None:
+    """The DFT of the n1*n1-point line held row-major in the square `a`, divided by `scale`, in place.
+
+    Bailey's four-step FFT with x[j1*n1 + j2] = a[j1, j2] and X[k1 + n1*k2]
+    = b[k1, k2]: `fft` down each column gives b[k1, j2]; each row k1 is
+    multiplied by the twiddles exp(-2*pi*i*k1*j2/N), transformed along the
+    row and divided by `scale`; the transpose of b is then X in row-major
+    order.  Each pass splits its columns, rows or tile pairs over the
+    workers and does every element the same way in any chunk, so the bits
+    do not depend on the worker count.  The twiddles of row k1 = 64*q + r
+    are row q of `hi` times row r of `lo`, two tables of 16 * n1 * (n1/64 +
+    64) bytes together (3 MB at N = 2**22), whose index products are reduced
+    mod N before the exp.  A block of rows, at most BLOCK_POINTS points or
+    one row, stays inside one run of 64 rows, so it is multiplied in place by one row
+    of `hi` and a slice of `lo`, and is scaled while it is in cache.  The
+    transpose swaps 64x64 tiles through one tile copy.
+    """
+    n1 = a.shape[0]
+    N = n1 * n1
+    j2 = np.arange(n1)
+    hi = np.exp(-2j * np.pi * (64 * np.arange(-(-n1 // 64))[:, None] * j2 % N) / N)
+    lo = np.exp(-2j * np.pi * (np.arange(min(64, n1))[:, None] * j2 % N) / N)
+    rows = max(1, BLOCK_POINTS // n1)
+
+    def columns(first, last):
+        np.fft.fft(a[:, first:last], axis=0, out=a[:, first:last])
+
+    def lines(first, last):
+        start = first
+        while start < last:
+            stop = min(last, start + rows, (start // 64 + 1) * 64)
+            block = a[start:stop]
+            block *= hi[start // 64]
+            block *= lo[start % 64:start % 64 + stop - start]
+            np.fft.fft(block, axis=1, out=block)
+            block /= scale
+            start = stop
+
+    tile = 64
+    tiles = -(-n1 // tile)
+    pairs = [(i, j) for i in range(tiles) for j in range(i, tiles)]
+
+    def transpose(first, last):
+        for i, j in pairs[first:last]:
+            upper = a[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile]
+            lower = a[j * tile:(j + 1) * tile, i * tile:(i + 1) * tile]
+            held = upper.copy()
+            if i != j:
+                upper[...] = lower.T
+            lower[...] = held.T
+
+    _in_chunks(columns, n1)
+    _in_chunks(lines, n1)
+    _in_chunks(transpose, len(pairs))
 
 
 def outcome_distribution(grid: AmplitudeGrid, *, in_place: bool = False) -> OutcomeDistribution:

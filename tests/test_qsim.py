@@ -1,4 +1,5 @@
 """Tests for the amplitude-level simulator: phase grids, transforms, sampling, runs."""
+import math
 import os
 import subprocess
 import sys
@@ -246,6 +247,9 @@ POOLED_CASES = [
                  quadratic(np.linspace(-0.2, 0.3, 6), np.diag(np.linspace(0.1, 0.3, 6))), BLOCK_POINTS, id="d6N2"),
     pytest.param(STREAMED_CASES[0][0], STREAMED_CASES[0][1], BLOCK_POINTS, id="d1"),
     pytest.param(ProblemSpec(d=2, N=5, n_o=8, l=1.0, m=1.0), sinusoid(0.5, [1.0, 2.0]), 3, id="block3"),
+    # a square line above the block takes the four-step transform
+    pytest.param(ProblemSpec(d=1, N=64 ** 2, n_o=12, l=1.0, m=1.0), quadratic([0.1], [[0.4]]), 1024,
+                 id="four-step"),
 ]
 
 
@@ -494,7 +498,7 @@ def test_forward_then_inverse_is_identity():
     assert np.array_equal(grid.amps, before)  # the transform leaves its input unchanged
 
 
-@pytest.mark.parametrize("N,d", [(2 ** 12, 1), (48, 2), (17, 2), (19, 2), (17 * 19, 1)])
+@pytest.mark.parametrize("N,d", [(2 ** 12, 1), (48, 2), (17, 2), (19, 2), (17 * 19, 1), (2 ** 18, 1)])
 def test_transform_into_its_own_buffer_gives_the_same_bits(N, d):
     grid = random_grid(N, d, seed=N + d)
     expected = fourier_transform(grid).amps
@@ -523,6 +527,49 @@ def test_brute_force_guard():
     grid = AmplitudeGrid(lattice(1, 8192), np.ones(8192) / np.sqrt(8192))
     with pytest.raises(ValueError):
         brute_force_transform(grid)
+
+
+def _four_step_shapes(monkeypatch) -> list:
+    """The shapes `fourier_transform` passes to `qsim._four_step` from now on."""
+    shapes = []
+    four_step = qsim._four_step
+
+    def wrapper(a, scale):
+        shapes.append(a.shape)
+        four_step(a, scale)
+    monkeypatch.setattr(qsim, "_four_step", wrapper)
+    return shapes
+
+
+def test_four_step_agrees_with_brute_force(monkeypatch):
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", 1024)
+    shapes = _four_step_shapes(monkeypatch)
+    grid = random_grid(64 ** 2, 1, seed=41)
+    fast = fourier_transform(grid)
+    assert shapes == [(64, 64)]
+    # the double sum's own error, about 3.6e-14 here, dominates
+    assert np.max(np.abs(fast.amps - brute_force_transform(grid).amps)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2 ** 18, 2 ** 20])
+def test_four_step_agrees_with_pocketfft(monkeypatch, N):
+    shapes = _four_step_shapes(monkeypatch)
+    grid = random_grid(N, 1, seed=N)
+    got = fourier_transform(grid).amps
+    assert shapes == [(math.isqrt(N),) * 2]
+    expected = np.fft.fft(grid.amps) / N ** 0.5
+    # 1.8 and 2.3 roundings here
+    assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N", [STREAMED_CASES[0][0].N, 2 ** 17, BLOCK_POINTS])
+def test_other_lines_stay_on_pocketfft(monkeypatch, N):
+    # N not a square, or a square not above the block
+    shapes = _four_step_shapes(monkeypatch)
+    grid = random_grid(N, 1, seed=N)
+    got = fourier_transform(grid).amps
+    assert shapes == []
+    assert np.array_equal(got, np.fft.fftn(grid.amps) / N ** 0.5)
 
 
 # --- outcome_distribution / sample ---
