@@ -27,7 +27,9 @@ class TestFunction:
     several threads at once, since the blocks are evaluated on one thread per
     usable core; the catalog's functions are pure numpy.  Those threads live
     only for the call, so `eval` may itself call back into qgrad, for
-    instance to build another phase grid.
+    instance to build another phase grid.  The build, `scanned_range` and
+    the run raise ValueError before any callback when `d` is not the
+    lattice's.
     """
 
     name: str

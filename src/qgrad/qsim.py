@@ -16,15 +16,17 @@ amplitudes or probabilities as one C-contiguous flat array.
 
 The build and the transform split their independent work into contiguous
 chunks, one per usable core (`_WORKERS`): the calling thread runs the first
-chunk and a thread started for the call runs each other one, and every such
-thread is joined before the call returns.  numpy releases the GIL in that
-work, and each chunk does exactly what the serial code does there, so the
-bits are the same.  Work of a single chunk (the build of a one-block
-lattice) starts no thread.  At d = 1 only a line of N = n1**2 > BLOCK_POINTS
-points is split: it takes a four-step FFT over an (n1, n1) view of its own
-buffer, whose rounding differs from pocketfft's by a few float64 roundings
-of max |X|; any other d = 1 line is one serial `np.fft.fftn` call.
-`outcome_distribution`, sampling and the statistics stay serial.
+chunk and a `ThreadPoolExecutor` made for the call runs each other one on
+threads it starts on demand, all of which are joined before the call
+returns.  numpy releases the GIL in that work, and each chunk does exactly
+what the serial code does there, so the bits are the same.  Work of a
+single chunk (the build of a one-block lattice) starts no thread.  The
+d = 1 build is split like any other once it has two blocks, but of the d = 1
+transforms only a line of N = n1**2 > BLOCK_POINTS points is split: it takes
+a four-step FFT over an (n1, n1) view of its own buffer, whose rounding
+differs from pocketfft's by a few float64 roundings of max |X|; any other
+d = 1 line is one serial `np.fft.fftn` call.  `outcome_distribution`,
+sampling and the statistics stay serial.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -56,7 +58,8 @@ from .core import (
 from .functions import TestFunction
 
 # Lattice points per block of the oracle walk (the phase-grid build and
-# `functions.scanned_range`), of |amps|^2, of sampling and of the d=1 variance.
+# `functions.scanned_range`), of the four-step FFT's row pass, of |amps|^2, of
+# sampling and of the d=1 variance.
 # The block temporaries (sample points, values, register; cumulative sums,
 # deviations) take O(BLOCK_POINTS * d) bytes whatever the lattice size.
 BLOCK_POINTS = 2 ** 16
@@ -76,39 +79,22 @@ _WORKERS = _usable_cores()
 def _in_chunks(task, n: int) -> list:
     """[task(first, last)] over contiguous chunks of range(n), one per worker, in order.
 
-    The calling thread runs chunk 0 and a thread started here runs each
-    other chunk, so a single chunk starts no thread.  Every started thread
-    is joined before anything is returned or raised, also after a failed
-    start, whose error is raised; so no thread outlives the call, and a
-    task may itself call back into this function.  An exception is the one
-    of the first failing chunk, so chunks that each stop at their first
-    failure report the failure that comes first in order.
+    The calling thread runs chunk 0 and a `ThreadPoolExecutor` made for the
+    call runs the others; the pool starts a thread only for a chunk it is
+    given, so a single chunk starts no thread.  Leaving the pool joins every
+    thread it started before anything is returned or raised, so no thread
+    outlives the call, a task may itself call back into this function, and
+    a forked child starts threads of its own.  An exception is the one of
+    the first failing chunk, so chunks that each stop at their first
+    failure report the failure that comes first in order.  When a thread
+    fails to start, chunk 0 does not run, and the threads already started
+    run the queued chunks before the start error is raised.
     """
     chunks = min(_WORKERS, n)
     bounds = [n * i // chunks for i in range(chunks + 1)]
-    results = [None] * chunks
-    errors = [None] * chunks
-
-    def run(i):
-        try:
-            results[i] = task(bounds[i], bounds[i + 1])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, chunks):
-            thread = threading.Thread(target=run, args=(i,), name=f"qgrad_{i}")
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad") as pool:
+        rest = pool.map(task, bounds[1:-1], bounds[2:])
+        return [task(0, bounds[1]), *rest]
 
 
 def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
@@ -205,6 +191,7 @@ def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
     BLOCK_POINTS rows if a line is longer; `blocks` yields each block's
     (start, stop, f at rows [start, stop)).
     """
+    _check_d(f, spec)
     rows = spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
 
     def blocks(first, last):
@@ -214,6 +201,11 @@ def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
             yield start, stop, _evaluate(f, _block_points(spec, start, stop))
 
     return _in_chunks(lambda first, last: consume(blocks(first, last)), -(-spec.size // rows))
+
+
+def _check_d(f: TestFunction, spec: ProblemSpec) -> None:
+    if f.d != spec.d:
+        raise ValueError(f"{f.name} is a function of d = {f.d} variables, but the lattice has d = {spec.d}")
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
@@ -260,8 +252,8 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
 
     For d >= 2 the axes are taken in `np.fft.fftn`'s order, last first, in
     two passes over the workers: axes d-1..1 on chunks of axis 0, then
-    axis 0 on chunks of axis 1.  Each line is transformed as `fftn` would,
-    so the result is the same to the bit.
+    axis 0 by `_columns` on the (N, N**(d-1)) view.  Each line is
+    transformed as `fftn` would, so the result is the same to the bit.
 
     For d = 1 with N above BLOCK_POINTS and N = n1**2, the line is
     transformed by `_four_step` in the output buffer itself, in three
@@ -271,31 +263,39 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
     it at 2**18..2**22).  Any other d = 1 line is one `np.fft.fftn` call.
     """
     spec = grid.spec
-    a = grid.reshaped()
     scale = spec.N ** (spec.d / 2.0)
-    # every axis pass writes the one output array, which is then scaled in place
-    out = a if in_place else np.empty(spec.shape, dtype=complex)
+    # every pass transforms the one output buffer in place, which is then scaled in place
+    out = grid.amps if in_place else grid.amps.copy()
     n1 = math.isqrt(spec.N)
     if spec.d == 1 and spec.N > BLOCK_POINTS and n1 * n1 == spec.N:
-        if not in_place:
-            np.copyto(out, a)
         _four_step(out.reshape(n1, n1), scale)
         return replace(grid, amps=out)
     if spec.d == 1:
-        np.fft.fftn(a, out=out)
+        np.fft.fftn(out, out=out)
     else:
+        a = out.reshape(spec.shape)
         inner = tuple(range(1, spec.d))
 
         def inner_axes(first, last):
-            np.fft.fftn(a[first:last], axes=inner, out=out[first:last])
-
-        def first_axis(first, last):
-            np.fft.fft(out[:, first:last], axis=0, out=out[:, first:last])
+            np.fft.fftn(a[first:last], axes=inner, out=a[first:last])
 
         _in_chunks(inner_axes, spec.N)
-        _in_chunks(first_axis, spec.N)
+        _columns(out.reshape(spec.N, -1))
     out /= scale
-    return replace(grid, amps=out.reshape(-1))
+    return replace(grid, amps=out)
+
+
+def _columns(a: np.ndarray) -> None:
+    """`fft` down every column of the 2-D `a`, in place, on chunks of columns over the workers.
+
+    pocketfft transforms each column on its own, so the bits do not depend
+    on how the columns are chunked.
+    """
+
+    def columns(first, last):
+        np.fft.fft(a[:, first:last], axis=0, out=a[:, first:last])
+
+    _in_chunks(columns, a.shape[1])
 
 
 def _four_step(a: np.ndarray, scale: float) -> None:
@@ -322,9 +322,6 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     lo = np.exp(-2j * np.pi * (np.arange(min(64, n1))[:, None] * j2 % N) / N)
     rows = max(1, BLOCK_POINTS // n1)
 
-    def columns(first, last):
-        np.fft.fft(a[:, first:last], axis=0, out=a[:, first:last])
-
     def lines(first, last):
         start = first
         while start < last:
@@ -349,7 +346,7 @@ def _four_step(a: np.ndarray, scale: float) -> None:
                 upper[...] = lower.T
             lower[...] = held.T
 
-    _in_chunks(columns, n1)
+    _columns(a)
     _in_chunks(lines, n1)
     _in_chunks(transpose, len(pairs))
 
@@ -583,6 +580,7 @@ def run_gradient_estimation(
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {_shown(shots)}")
     seed = _seed(seed)
+    _check_d(f, spec)
     true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
     # the run owns its state: the transform, the probabilities and the

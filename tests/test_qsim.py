@@ -270,7 +270,7 @@ class NoThread:
 def test_the_pool_gives_the_bits_of_one_worker(monkeypatch, spec, f, block, workers):
     monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
     monkeypatch.setattr(qsim, "_WORKERS", 1)
-    monkeypatch.setattr(qsim.threading, "Thread", NoThread)  # one worker works on the calling thread
+    monkeypatch.setattr(threading, "Thread", NoThread)  # one worker works on the calling thread
     serial = _outputs(f, spec)
     monkeypatch.undo()
     monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
@@ -355,7 +355,7 @@ assert child.exitcode == 0, f"fork child exit code {child.exitcode}"
 
 
 def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(qsim.threading, "Thread", NoThread)
+    monkeypatch.setattr(threading, "Thread", NoThread)
     spec = ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0)
     f = quadratic([0.1], [[0.4]])
     run_gradient_estimation(f, spec, shots=10)
@@ -364,7 +364,7 @@ def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
 
 
 def test_a_failed_thread_start_joins_the_started_threads(monkeypatch):
-    # three chunks of one slow block each: qgrad_1 starts and sleeps, qgrad_2 fails to start
+    # three chunks of one slow block each: qgrad_0 starts and sleeps, qgrad_1 fails to start
     starts = []
 
     class SecondStartFails(threading.Thread):
@@ -379,11 +379,11 @@ def test_a_failed_thread_start_joins_the_started_threads(monkeypatch):
         return np.zeros(x.shape[:-1])
 
     monkeypatch.setattr(qsim, "_WORKERS", 3)
-    monkeypatch.setattr(qsim.threading, "Thread", SecondStartFails)
+    monkeypatch.setattr(threading, "Thread", SecondStartFails)
     spec = ProblemSpec(d=1, N=3 * BLOCK_POINTS, n_o=8, l=1.0, m=1.0)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         build_phase_state(replace(linear([0.0]), eval=slow), spec)
-    assert starts == ["qgrad_1", "qgrad_2"]
+    assert starts == ["qgrad_0", "qgrad_1"]
     assert not [t.name for t in threading.enumerate() if t.name.startswith("qgrad_")]
 
 
@@ -501,7 +501,9 @@ def test_forward_then_inverse_is_identity():
 @pytest.mark.parametrize("N,d", [(2 ** 12, 1), (48, 2), (17, 2), (19, 2), (17 * 19, 1), (2 ** 18, 1)])
 def test_transform_into_its_own_buffer_gives_the_same_bits(N, d):
     grid = random_grid(N, d, seed=N + d)
+    before = grid.amps.copy()
     expected = fourier_transform(grid).amps
+    assert np.array_equal(grid.amps, before)  # the default transform leaves its input unchanged
     buf = grid.amps.copy()
     out = fourier_transform(AmplitudeGrid(grid.spec, buf), in_place=True)
     assert np.shares_memory(out.amps, buf)
@@ -711,6 +713,18 @@ def test_run_rejects_unrepresentable_gradient_before_building():
         f = replace(linear([0.25]), eval=no_queries, grad=lambda x, g=g: np.array([g]))
         with pytest.raises(ValueError):
             run_gradient_estimation(f, spec, shots=0)
+
+
+def test_a_function_of_another_d_is_rejected():
+    # eval works on the 2-d points, but the function says it takes one variable
+    def no_gradient(x):
+        raise AssertionError("grad called before the d check")
+
+    spec = ProblemSpec(d=2, N=8, n_o=4, l=1.0, m=1.0)
+    f = replace(linear([0.25, 0.0]), name="declared_1d", d=1, grad=no_gradient)
+    for call in (build_phase_state, scanned_range, run_gradient_estimation):
+        with pytest.raises(ValueError, match="declared_1d is a function of d = 1 variables, but the lattice has d = 2"):
+            call(f, spec)
 
 
 # --- circular statistics on the periodic lattice ---
