@@ -25,8 +25,10 @@ d = 1 build is split like any other once it has two blocks, but of the d = 1
 transforms only a line of N = n1**2 > BLOCK_POINTS points is split: it takes
 a four-step FFT over an (n1, n1) view of its own buffer, whose rounding
 differs from pocketfft's by a few float64 roundings of max |X|; any other
-d = 1 line is one serial `np.fft.fftn` call.  `outcome_distribution`,
-sampling and the statistics stay serial.
+d = 1 line is one serial `np.fft.fftn` call.  `outcome_distribution` stays
+serial.  A run of more than one block computes the circular statistics on
+the calling thread and samples on a second worker, the same two chunks of
+`_in_chunks`; a one-block run does both in turn and starts no thread.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -383,32 +385,42 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     sequence no matter how the surrounding work is scheduled.  The draws are
     those of `Generator.choice(N**d, shots, p=probs/probs.sum())`, without
     its N**d-entry temporaries: the cumulative sum of the normalized weights
-    is taken in blocks of BLOCK_POINTS, once for its last value and once more
-    to search the sorted uniforms block by block.  Weights that are negative
-    or NaN, or whose sum is not finite and positive, raise ValueError, as
-    does a seed that is not an integer >= 0.
+    is taken in blocks of BLOCK_POINTS, once over every block for the value
+    at each block's end, and once more only in the blocks whose range holds
+    a sorted uniform, to search them there.  Weights that are negative or
+    NaN, in any block, or whose sum is not finite and positive, raise
+    ValueError, as does a seed that is not an integer >= 0.
     """
     shots = _integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {_shown(shots)}")
     seed = _seed(seed)
-    total = float(dist.probs.sum())
+    probs = dist.probs
+    total = float(probs.sum())
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite positive sum")
-    for _, cdf in _cumulative_blocks(dist.probs, total):
-        last = cdf[-1]
+    starts = range(0, probs.size, BLOCK_POINTS)
+    # carries[b] is the cdf just before block b, so carries[-1] is its last value
+    carries = np.zeros(len(starts) + 1)
+    buffer = np.empty(min(BLOCK_POINTS, probs.size))
+    for b, start in enumerate(starts):
+        carries[b + 1] = _block_cdf(probs, start, total, carries[b], buffer)[-1]
+    last = carries[-1]
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(shots)
     order = np.argsort(u, kind="stable")
     u = u[order]
+    # the uniforms below a block's normalized end value and at or above the
+    # previous one's fall in that block
+    ends = np.searchsorted(u, carries[1:] / last, side="left")
     flat = np.empty(shots, dtype=np.int64)
     lo = 0
-    for start, cdf in _cumulative_blocks(dist.probs, total):
-        cdf /= last
-        # the uniforms below this block's last value fall in this block
-        hi = lo + int(np.searchsorted(u[lo:], cdf[-1], side="left"))
-        flat[order[lo:hi]] = start + np.searchsorted(cdf, u[lo:hi], side="right")
-        lo = hi
+    for b, hi in enumerate(ends):
+        if hi > lo:
+            cdf = _block_cdf(probs, starts[b], total, carries[b], buffer)
+            cdf /= last
+            flat[order[lo:hi]] = starts[b] + np.searchsorted(cdf, u[lo:hi], side="right")
+            lo = hi
     return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
 
 
@@ -420,22 +432,19 @@ def _seed(seed) -> int:
     return seed
 
 
-def _cumulative_blocks(probs: np.ndarray, total: float):
-    """(start, cumsum(probs / total)[start:start + BLOCK_POINTS]) for each block.
+def _block_cdf(probs: np.ndarray, start: int, total: float, carry: float, buffer: np.ndarray) -> np.ndarray:
+    """cumsum(probs / total)[start:start + BLOCK_POINTS], in the head of `buffer`.
 
-    Each block adds the previous block's last value into its first element
-    before its own cumsum, which is the sequential sum `cumsum` takes over
-    the whole array, bit for bit.
+    `carry` is that cumsum just before `start`, 0.0 for the first block.  It
+    is added into the block's first element before the block's own cumsum,
+    which is the sequential sum `cumsum` takes over the whole array, bit for bit.
     """
-    carry = 0.0
-    for start in range(0, probs.size, BLOCK_POINTS):
-        cdf = probs[start:start + BLOCK_POINTS] / total
-        if not cdf.min() >= 0.0:
-            raise ValueError(f"weights must be nonnegative, found one in [{start}, {start + cdf.size})")
-        cdf[0] += carry
-        np.cumsum(cdf, out=cdf)
-        carry = cdf[-1]
-        yield start, cdf
+    block = probs[start:start + BLOCK_POINTS]
+    cdf = np.divide(block, total, out=buffer[:block.size])
+    if not cdf.min() >= 0.0:
+        raise ValueError(f"weights must be nonnegative, found one in [{start}, {start + cdf.size})")
+    cdf[0] += carry
+    return np.cumsum(cdf, out=cdf)
 
 
 # -- Circular statistics on the periodic outcome lattice ---------------------
@@ -597,12 +606,26 @@ def run_gradient_estimation(
 
     means = np.empty(spec.d)
     variances = np.empty(spec.d)
-    for axis in range(spec.d):
-        marginal = dist.marginal(axis)
-        means[axis] = circular_mean(marginal)
-        variances[axis] = circular_variance(marginal, means[axis])
 
-    draws = sample(dist, shots, seed) if shots > 0 else np.empty((0, spec.d), dtype=np.int64)
+    def statistics():
+        for axis in range(spec.d):
+            marginal = dist.marginal(axis)
+            means[axis] = circular_mean(marginal)
+            variances[axis] = circular_variance(marginal, means[axis])
+
+    if shots == 0:
+        statistics()
+        draws = np.empty((0, spec.d), dtype=np.int64)
+    elif spec.size > BLOCK_POINTS:
+        # a lattice of more than one block splits the work, as the build does:
+        # the statistics on the calling thread and sampling on a second worker,
+        # or both in turn on one; both only read the distribution, and the
+        # draws are the last result of the last chunk either way
+        jobs = (statistics, lambda: sample(dist, shots, seed))
+        draws = _in_chunks(lambda first, last: [job() for job in jobs[first:last]], len(jobs))[-1][-1]
+    else:
+        statistics()
+        draws = sample(dist, shots, seed)
 
     return GradientEstimationReport(
         spec=spec,

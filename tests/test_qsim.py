@@ -257,7 +257,7 @@ def _outputs(f, spec):
     grid = build_phase_state(f, spec)
     report = run_gradient_estimation(f, spec, shots=500, seed=3)
     return (grid.amps, fourier_transform(grid).amps, report.distribution.probs, report.samples,
-            report.circular_mean_k, report.circular_variance_k)
+            report.circular_mean_k, report.circular_variance_k, report.mode_index, report.success_probability)
 
 
 class NoThread:
@@ -361,6 +361,26 @@ def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
     run_gradient_estimation(f, spec, shots=10)
     scanned_range(f, spec)
     build_phase_state(sinusoid(0.5, [1.0, 2.0, -1.0, 0.5]), ProblemSpec(d=4, N=16, n_o=8, l=1.0, m=1.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_samples_beside_its_statistics(monkeypatch, workers):
+    # more than one block: sampling goes to a second worker when there is one
+    threads = {}
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("circular_variance", "sample"):
+        monkeypatch.setattr(qsim, name, recorded(name, getattr(qsim, name)))
+    monkeypatch.setattr(qsim, "_WORKERS", workers)
+    run_gradient_estimation(quadratic([0.1], [[0.4]]), ProblemSpec(d=1, N=2 * BLOCK_POINTS, n_o=12, l=1.0, m=1.0),
+                            shots=10)
+    main = threading.main_thread().name
+    assert threads == {"circular_variance": {main}, "sample": {main if workers == 1 else "qgrad_0"}}
 
 
 def test_a_failed_thread_start_joins_the_started_threads(monkeypatch):
@@ -675,6 +695,21 @@ def test_sample_rejects_unusable_weights():
             sample(qsim.OutcomeDistribution(spec, probs), shots=10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [0, 7, 13, 14, 15])
+def test_sample_checks_the_weights_of_blocks_no_draw_reaches(monkeypatch, bad):
+    # four blocks of 4; every draw lands in block 1, so blocks 0, 2 and 3 are never searched
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", 4)
+    spec = lattice(1, 16)
+    for value in (-0.1, np.nan):
+        probs = np.zeros(16)
+        probs[5] = 1.0
+        probs[bad] = value
+        if bad == 13:  # a block whose mass is zero in sum, so its range holds no uniform
+            probs[12] = 0.1
+        with pytest.raises(ValueError, match="weights"):
+            sample(qsim.OutcomeDistribution(spec, probs), shots=10, seed=0)
+
+
 def _sampling_cases():
     rng = np.random.default_rng(5)
     sparse = np.zeros(200)
@@ -684,6 +719,9 @@ def _sampling_cases():
     straddle = rng.random(130)
     straddle[60:72] = 0.0  # a zero run across the block edges at 63 and 64 (7 and 64 points)
     return [
+        # a peak of 12 cells across the block edges at 189, 192 and 196 (7 and 64 points),
+        # with zero-mass blocks before the first draw and after the last
+        pytest.param(_narrow_peak(400, 192), (400,), id="narrow"),
         pytest.param(rng.random(257), (257,), id="random"),
         pytest.param(sparse, (200,), id="sparse"),
         pytest.param(last, (150,), id="last"),
@@ -693,6 +731,14 @@ def _sampling_cases():
     ]
 
 
+def _narrow_peak(size: int, edge: int) -> np.ndarray:
+    """Zero weights but for a Gaussian peak over the 12 cells edge - 6 .. edge + 5."""
+    probs = np.zeros(size)
+    cells = np.arange(edge - 6, edge + 6)
+    probs[cells] = np.exp(-0.5 * ((cells - edge + 0.5) / 2.0) ** 2)
+    return probs
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("probs,shape", _sampling_cases())
 def test_blocked_sampling_matches_generator_choice(monkeypatch, block, probs, shape):
@@ -700,7 +746,32 @@ def test_blocked_sampling_matches_generator_choice(monkeypatch, block, probs, sh
     spec = ProblemSpec(d=len(shape), N=shape[0], n_o=8, l=1.0, m=1.0)
     dist = qsim.OutcomeDistribution(spec, probs)
     for seed in (0, 1, 2):
-        assert np.array_equal(sample(dist, shots=2000, seed=seed), choice_draws(probs, shape, 2000, seed))
+        for shots in (1, 2000):
+            assert np.array_equal(sample(dist, shots=shots, seed=seed), choice_draws(probs, shape, shots, seed))
+
+
+def test_sampling_searches_only_the_blocks_the_draws_reach(monkeypatch):
+    # four blocks of the real size; the peak straddles the edge between blocks 1 and 2
+    probs = _narrow_peak(4 * BLOCK_POINTS, 2 * BLOCK_POINTS)
+    dist = qsim.OutcomeDistribution(ProblemSpec(d=1, N=probs.size, n_o=8, l=1.0, m=1.0), probs)
+    searched = []
+    block_cdf = qsim._block_cdf
+
+    def recorded(probs, start, *args):
+        searched.append(start)
+        return block_cdf(probs, start, *args)
+
+    monkeypatch.setattr(qsim, "_block_cdf", recorded)
+    for seed in (0, 1):
+        for shots in (1, 2000):
+            searched.clear()
+            draws = sample(dist, shots=shots, seed=seed)
+            assert np.array_equal(draws, choice_draws(probs, (probs.size,), shots, seed))
+            # one pass over every block, then a second over the blocks holding a draw
+            hit = sorted({int(k) // BLOCK_POINTS * BLOCK_POINTS for k in draws[:, 0]})
+            assert searched == [0, BLOCK_POINTS, 2 * BLOCK_POINTS, 3 * BLOCK_POINTS, *hit]
+            assert set(hit) <= {BLOCK_POINTS, 2 * BLOCK_POINTS}
+            assert shots == 1 or len(hit) == 2
 
 
 def test_run_rejects_unrepresentable_gradient_before_building():
