@@ -47,6 +47,9 @@ class ProblemSpec:
     x0    evaluation point, finite (defaults to the origin); stored as a
           read-only copy
 
+    l and m must also keep N*l, m*l, N*N_o/(m*l) and N*l/m finite and
+    nonzero, the scales of the maps below.
+
     A spec is a value: it compares and hashes by its parameters, x0 included.
     """
 
@@ -78,6 +81,14 @@ class ProblemSpec:
                 f"lattice size N**d = {_shown(self.N)}**{_shown(self.d)} exceeds the budget "
                 f"of {MAX_POINTS} points"
             )
+        # the lattice maps scale by these, so none may overflow or underflow to 0
+        ml = self.m * self.l
+        for what, value in (("N*l", self.N * self.l), ("m*l", ml),
+                            ("N*N_o/(m*l)", self.N * self.N_o / ml if ml else 0.0),
+                            ("N*l/m", self.N * self.l / self.m)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"l = {self.l} and m = {self.m} give {what} = {value} at N = {self.N}, "
+                                 f"n_o = {self.n_o}; it must be finite and nonzero")
         x0 = np.zeros(self.d) if self.x0 is None else np.array(self.x0, dtype=float)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")

@@ -3,8 +3,9 @@
 Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
-one-dimensional functions.  A function declares no range: `scanned_range`
-gives its exact min and max over a lattice, one block at a time.
+one-dimensional functions.  Every coefficient must be finite.  A function
+declares no range: `scanned_range` gives its exact min and max over a
+lattice, one block at a time.
 """
 from __future__ import annotations
 
@@ -24,12 +25,11 @@ class TestFunction:
     shape (...), and each value must depend only on its own point: the phase
     grid is built by calling it on row-major blocks of at most
     `qsim.BLOCK_POINTS` lattice points.  `eval` must be safe to call from
-    several threads at once, since the blocks are evaluated on one thread per
-    usable core; the catalog's functions are pure numpy.  Those threads live
-    only for the call, so `eval` may itself call back into qgrad, for
-    instance to build another phase grid.  The build, `scanned_range` and
-    the run raise ValueError before any callback when `d` is not the
-    lattice's.
+    several threads at once, since the blocks may be split over threads;
+    the catalog's functions are pure numpy.  Those threads live only for
+    the call, so `eval` may itself call back into qgrad, for instance to
+    build another phase grid.  The build, `scanned_range` and the run raise
+    ValueError before any callback when `d` is not the lattice's.
     """
 
     name: str
@@ -48,9 +48,18 @@ def _points(x, d: int) -> np.ndarray:
     return pts
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """`value` as a float array, after checking that it is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
+
+
 def linear(g, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x, the exactly-linear case (zero Hessian everywhere)."""
-    g = np.atleast_1d(np.asarray(g, dtype=float))
+    g = np.atleast_1d(_finite("g", g))
+    _finite("c", c)
     d = g.size
 
     def ev(x):
@@ -69,7 +78,8 @@ def linear(g, c: float = 0.0) -> TestFunction:
 
 def quadratic(g, H, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x + x^T H x / 2 with symmetric H."""
-    g = np.atleast_1d(np.asarray(g, dtype=float))
+    g = np.atleast_1d(_finite("g", g))
+    _finite("c", c)
     d = g.size
     H = _symmetric(H, d)
 
@@ -89,6 +99,7 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
 
 def cubic_1d(a3: float) -> TestFunction:
     """f(x) = a3 * x^3 in one dimension; constant third derivative 6*a3."""
+    _finite("a3", a3)
 
     def ev(x):
         return a3 * _points(x, 1)[..., 0] ** 3
@@ -104,7 +115,8 @@ def cubic_1d(a3: float) -> TestFunction:
 
 def sinusoid(amplitude: float, wavevector) -> TestFunction:
     """f(x) = amplitude * sin(k.x) with wavevector k."""
-    k = np.atleast_1d(np.asarray(wavevector, dtype=float))
+    _finite("amplitude", amplitude)
+    k = np.atleast_1d(_finite("wavevector", wavevector))
     d = k.size
 
     def ev(x):

@@ -14,21 +14,16 @@ the phases come from a table of the N_o register values only when that table
 is smaller than the lattice and no larger than a block.  A grid holds its
 amplitudes or probabilities as one C-contiguous flat array.
 
-The build and the transform split their independent work into contiguous
-chunks, one per usable core (`_WORKERS`): the calling thread runs the first
-chunk and a `ThreadPoolExecutor` made for the call runs each other one on
-threads it starts on demand, all of which are joined before the call
-returns.  numpy releases the GIL in that work, and each chunk does exactly
-what the serial code does there, so the bits are the same.  Work of a
-single chunk (the build of a one-block lattice) starts no thread.  The
-d = 1 build is split like any other once it has two blocks, but of the d = 1
-transforms only a line of N = n1**2 > BLOCK_POINTS points is split: it takes
-a four-step FFT over an (n1, n1) view of its own buffer, whose rounding
-differs from pocketfft's by a few float64 roundings of max |X|; any other
-d = 1 line is one serial `np.fft.fftn` call.  `outcome_distribution` stays
-serial.  A run of more than one block computes the circular statistics on
-the calling thread and samples on a second worker, the same two chunks of
-`_in_chunks`; a one-block run does both in turn and starts no thread.
+Every pass that splits its work does so by one rule, in `_in_chunks`: at
+most one contiguous chunk per usable core (`_WORKERS`), and no chunk with
+less than BLOCK_POINTS points of work, a pass's work being its points (times
+its axes, in a transform).  The calling thread runs the first chunk and a
+`ThreadPoolExecutor` made for the call runs the others; its threads are all
+joined before the call returns.  numpy releases the GIL in that work, and
+each chunk does exactly what the serial code does there, so the bits do not
+depend on the worker count.  A d = 1 line of N = n1**2 > BLOCK_POINTS points
+takes a four-step FFT over an (n1, n1) view of its own buffer, whose
+rounding differs from pocketfft's by a few float64 roundings of max |X|.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -59,11 +54,10 @@ from .core import (
 )
 from .functions import TestFunction
 
-# Lattice points per block of the oracle walk (the phase-grid build and
-# `functions.scanned_range`), of the four-step FFT's row pass, of |amps|^2, of
-# sampling and of the d=1 variance.
-# The block temporaries (sample points, values, register; cumulative sums,
-# deviations) take O(BLOCK_POINTS * d) bytes whatever the lattice size.
+# Lattice points per block of every blocked loop (the oracle walk, the
+# four-step row pass, |amps|^2, sampling, the d=1 variance), so their
+# temporaries take O(BLOCK_POINTS * d) bytes whatever the lattice size; and
+# the least work `_in_chunks` gives a worker.
 BLOCK_POINTS = 2 ** 16
 
 
@@ -74,25 +68,25 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# One worker per usable core for the build and the multi-axis transform.
+# At most one chunk of a pass per usable core (see `_in_chunks`).
 _WORKERS = _usable_cores()
 
 
-def _in_chunks(task, n: int) -> list:
-    """[task(first, last)] over contiguous chunks of range(n), one per worker, in order.
+def _in_chunks(task, n: int, work: int) -> list:
+    """[task(first, last)] over contiguous chunks of range(n), in order.
 
-    The calling thread runs chunk 0 and a `ThreadPoolExecutor` made for the
-    call runs the others; the pool starts a thread only for a chunk it is
-    given, so a single chunk starts no thread.  Leaving the pool joins every
-    thread it started before anything is returned or raised, so no thread
-    outlives the call, a task may itself call back into this function, and
-    a forked child starts threads of its own.  An exception is the one of
-    the first failing chunk, so chunks that each stop at their first
-    failure report the failure that comes first in order.  When a thread
-    fails to start, chunk 0 does not run, and the threads already started
-    run the queued chunks before the start error is raised.
+    The one split rule: min(_WORKERS, n, ceil(work / BLOCK_POINTS)) chunks,
+    `work` being the pass's points (times its axes, in a transform), so no
+    worker gets less than a block of work.  Chunk 0 runs on the calling
+    thread, the others on a `ThreadPoolExecutor` made for the call, which
+    starts no thread for a single chunk and joins its threads before
+    anything is returned or raised: no thread outlives the call, a task may
+    call back into this function, and a forked child starts threads of its
+    own.  The exception raised is the first failing chunk's.  If a thread
+    fails to start, chunk 0 does not run, and the started threads run the
+    queued chunks before the start error is raised.
     """
-    chunks = min(_WORKERS, n)
+    chunks = min(_WORKERS, n, -(-work // BLOCK_POINTS))
     bounds = [n * i // chunks for i in range(chunks + 1)]
     with ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad") as pool:
         rest = pool.map(task, bounds[1:-1], bounds[2:])
@@ -187,7 +181,7 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
 
 def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
     """The one walk of f over the lattice: [consume(blocks)] over contiguous
-    runs of blocks, one per worker, in row order (see `_in_chunks`).
+    runs of blocks in row order, as `_in_chunks` splits them.
 
     A block is the whole last-axis lines that fit in BLOCK_POINTS, or
     BLOCK_POINTS rows if a line is longer; `blocks` yields each block's
@@ -202,7 +196,7 @@ def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
             # a local name for the values would keep them alive after the consumer drops them
             yield start, stop, _evaluate(f, _block_points(spec, start, stop))
 
-    return _in_chunks(lambda first, last: consume(blocks(first, last)), -(-spec.size // rows))
+    return _in_chunks(lambda first, last: consume(blocks(first, last)), -(-spec.size // rows), spec.size)
 
 
 def _check_d(f: TestFunction, spec: ProblemSpec) -> None:
@@ -281,7 +275,7 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
         def inner_axes(first, last):
             np.fft.fftn(a[first:last], axes=inner, out=a[first:last])
 
-        _in_chunks(inner_axes, spec.N)
+        _in_chunks(inner_axes, spec.N, spec.size * (spec.d - 1))
         _columns(out.reshape(spec.N, -1))
     out /= scale
     return replace(grid, amps=out)
@@ -297,7 +291,7 @@ def _columns(a: np.ndarray) -> None:
     def columns(first, last):
         np.fft.fft(a[:, first:last], axis=0, out=a[:, first:last])
 
-    _in_chunks(columns, a.shape[1])
+    _in_chunks(columns, a.shape[1], a.size)
 
 
 def _four_step(a: np.ndarray, scale: float) -> None:
@@ -349,8 +343,8 @@ def _four_step(a: np.ndarray, scale: float) -> None:
             lower[...] = held.T
 
     _columns(a)
-    _in_chunks(lines, n1)
-    _in_chunks(transpose, len(pairs))
+    _in_chunks(lines, n1, N)
+    _in_chunks(transpose, len(pairs), N)
 
 
 def outcome_distribution(grid: AmplitudeGrid, *, in_place: bool = False) -> OutcomeDistribution:
@@ -613,19 +607,11 @@ def run_gradient_estimation(
             means[axis] = circular_mean(marginal)
             variances[axis] = circular_variance(marginal, means[axis])
 
-    if shots == 0:
-        statistics()
-        draws = np.empty((0, spec.d), dtype=np.int64)
-    elif spec.size > BLOCK_POINTS:
-        # a lattice of more than one block splits the work, as the build does:
-        # the statistics on the calling thread and sampling on a second worker,
-        # or both in turn on one; both only read the distribution, and the
-        # draws are the last result of the last chunk either way
-        jobs = (statistics, lambda: sample(dist, shots, seed))
-        draws = _in_chunks(lambda first, last: [job() for job in jobs[first:last]], len(jobs))[-1][-1]
-    else:
-        statistics()
-        draws = sample(dist, shots, seed)
+    # both jobs only read the distribution; with two chunks the statistics run
+    # on the calling thread and sampling on a second worker
+    jobs = (statistics, lambda: sample(dist, shots, seed)) if shots else (statistics,)
+    done = _in_chunks(lambda first, last: [job() for job in jobs[first:last]], len(jobs), spec.size)
+    draws = done[-1][-1] if shots else np.empty((0, spec.d), dtype=np.int64)
 
     return GradientEstimationReport(
         spec=spec,

@@ -264,6 +264,38 @@ def test_run_rejects_a_hessian_that_is_not_finite(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys):
+    # N*l overflows, N*N_o/(m*l) overflows, N*l overflows: once exit 0 from a NaN matrix, or exit 1
+    cases = [
+        ["run", "--function", "quadratic", "--alpha", "5e-324", "--l", "1e308", "--m", "100", "--n-bits", "1"],
+        ["sweep-n", "--m", "5e-324", "--N", "16"],
+        ["peak2d", "--n-bits", "6", "--l", "1e308", "--m", "1e15"],
+    ]
+    for argv in cases:
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: l = ") and " and m = " in err[0], err
+        assert not out.exists()
+
+
+def test_non_finite_coefficients_exit_2(tmp_path, capsys):
+    # each once exited 1 on a RuntimeWarning or named the gradient N*g/m instead of the flag
+    cases = [
+        (["--function", "cubic_1d", "--a3", "inf"], "a3 must be finite"),
+        (["--function", "sinusoid", "--d", "2", "--wavevector", "3,inf"], "wavevector must be finite"),
+        (["--function", "sinusoid", "--amplitude", "nan"], "amplitude must be finite"),
+        (["--gradient", "nan"], "g must be finite"),
+        (["--function", "quadratic", "--coeff", "inf"], "c must be finite"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "o.csv"
+        assert main(["run", *argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
+
 def test_peak2d_rejects_bad_slack_before_the_run(tmp_path, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("peak2d ran the estimation before checking its slack")

@@ -250,6 +250,21 @@ def test_spec_rejects_bad_parameters(kwargs):
         ProblemSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "l,m,what",
+    [
+        (1e308, 100.0, "N\\*l ="),  # N*l overflows
+        (1e-200, 1e-200, "m\\*l ="),  # m*l underflows to 0
+        (1.0, 1e-306, "N\\*N_o/\\(m\\*l\\) ="),  # the fixed-point scale overflows
+        (1e-300, 1e300, "N\\*l/m ="),  # the Hessian scale underflows to 0
+        (1e300, 1e-300, "N\\*l/m ="),  # and overflows
+    ],
+)
+def test_spec_rejects_l_and_m_whose_products_leave_the_floats(l, m, what):
+    with pytest.raises(ValueError, match=f"^l = .* and m = .* give {what}"):
+        ProblemSpec(d=1, N=4, n_o=8, l=l, m=m)
+
+
 def test_spec_budget_cap():
     # the cap is MAX_POINTS = 2**24 lattice points; construction allocates nothing
     for d, N in ((4, 65), (2, 4097)):

@@ -69,6 +69,33 @@ def test_quadratic_rejects_asymmetric():
         quadratic([0.0, 0.0], [[1.0, 2.0], [0.0, 1.0]])
 
 
+def test_linear_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="^g must be finite"):
+        linear([0.5, np.nan])
+    with pytest.raises(ValueError, match="^c must be finite"):
+        linear([0.5], c=np.inf)
+
+
+def test_quadratic_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="^g must be finite"):
+        quadratic([-np.inf], [[1.0]])
+    with pytest.raises(ValueError, match="^c must be finite"):
+        quadratic([0.0], [[1.0]], c=np.nan)
+
+
+def test_cubic_rejects_a_non_finite_coefficient():
+    for a3 in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^a3 must be finite"):
+            cubic_1d(a3)
+
+
+def test_sinusoid_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="^amplitude must be finite"):
+        sinusoid(np.nan, [1.0])
+    with pytest.raises(ValueError, match="^wavevector must be finite"):
+        sinusoid(1.0, [3.0, np.inf])
+
+
 def test_cubic_value_and_third_derivative():
     f = cubic_1d(1.0)
     assert f.eval(2.0) == pytest.approx(8.0)

@@ -21,6 +21,7 @@ from qgrad import (
     build_phase_state,
     circular_mean,
     circular_variance,
+    cli,
     encode_input,
     fixed_point,
     fourier_transform,
@@ -312,7 +313,7 @@ from qgrad import ProblemSpec, build_phase_state, fourier_transform, qsim, quadr
 qsim._WORKERS = 2
 before = threading.active_count()
 run_gradient_estimation(quadratic([0.1], [[0.4]]), ProblemSpec(d=1, N={3 * BLOCK_POINTS}, n_o=12, l=1.0, m=1.0))
-spec = ProblemSpec(d=2, N=64, n_o=12, l=1.0, m=1.0)
+spec = ProblemSpec(d=2, N=512, n_o=12, l=1.0, m=1.0)
 fourier_transform(build_phase_state(quadratic([0.1, 0.2], [[0.3, 0.1], [0.1, -0.2]]), spec))
 assert threading.active_count() == before, threading.enumerate()
 """)
@@ -354,13 +355,35 @@ assert child.exitcode == 0, f"fork child exit code {child.exitcode}"
 """)
 
 
-def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch):
+def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch, tmp_path):
     monkeypatch.setattr(threading, "Thread", NoThread)
+    monkeypatch.setattr(qsim, "_WORKERS", 2)
     spec = ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0)
     f = quadratic([0.1], [[0.4]])
     run_gradient_estimation(f, spec, shots=10)
     scanned_range(f, spec)
     build_phase_state(sinusoid(0.5, [1.0, 2.0, -1.0, 0.5]), ProblemSpec(d=4, N=16, n_o=8, l=1.0, m=1.0))
+    # a one-axis pass over one block of points: the d=2 transform's two passes
+    d2 = ProblemSpec(d=2, N=256, n_o=12, l=1.0, m=1.0)
+    fourier_transform(build_phase_state(quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]]), d2))
+    for argv in (["run", "--d", "2", "--N", "128"], ["peak2d", "--N", "256"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == 0, argv
+
+
+def test_a_pass_splits_by_its_work(monkeypatch):
+    # d=8, N=4 is one block of points: the inner axes are seven blocks of work, axis 0 is one
+    spec = ProblemSpec(d=8, N=4, n_o=12, l=1.0, m=1.0)
+    grid = build_phase_state(quadratic(np.full(8, 0.1), np.eye(8) * 0.2), spec)
+    threads = {}
+    for name in ("fftn", "fft"):
+        def recorded(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            threads.setdefault(_name, set()).add(threading.current_thread().name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    monkeypatch.setattr(qsim, "_WORKERS", 2)
+    fourier_transform(grid)
+    main = threading.main_thread().name
+    assert threads == {"fftn": {main, "qgrad_0"}, "fft": {main}}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
