@@ -41,12 +41,22 @@ class SigmaPrediction:
 
 
 def stationary_phase_sigma(H, spec: ProblemSpec) -> SigmaPrediction:
-    """Predicted outcome spread for Hessian H at the given problem parameters."""
+    """Predicted outcome spread for Hessian H at the given problem parameters.
+
+    A support matrix or spread beyond the floats raises ValueError.
+    """
     H = _symmetric(H, spec.d)
-    A = (spec.N * spec.l / spec.m) * H
-    row_norms = np.sqrt((H ** 2).sum(axis=1))
-    sigma_grad = spec.l / (2.0 * math.sqrt(3.0)) * row_norms
-    sigma_k = (spec.N / spec.m) * sigma_grad
+    # each row's squares are taken scaled by a power of two near its largest
+    # entry, so that they do not overflow; the scaling is exact
+    exponent = np.frexp(np.abs(H).max(axis=1))[1]
+    with np.errstate(over="ignore"):
+        A = (spec.N * spec.l / spec.m) * H
+        row_norms = np.ldexp(np.sqrt((np.ldexp(H, -exponent[:, None]) ** 2).sum(axis=1)), exponent)
+        sigma_grad = spec.l / (2.0 * math.sqrt(3.0)) * row_norms
+        sigma_k = (spec.N / spec.m) * sigma_grad
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(sigma_k))):
+        raise ValueError(f"H = {H.tolist()} gives a support matrix (N*l/m)*H or a spread beyond the "
+                         f"floats at N = {spec.N}, l = {spec.l}, m = {spec.m}")
     return SigmaPrediction(sigma_k=sigma_k, sigma_grad=sigma_grad, support_matrix=A)
 
 

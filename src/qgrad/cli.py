@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,9 +92,10 @@ def _spec_from_args(args, d: int | None = None) -> ProblemSpec:
         if not 1 <= args.n_bits <= top:
             raise ValueError(f"--n-bits must lie in [1, {top}], got {_shown(args.n_bits)}")
         N = 2 ** args.n_bits
+    spec = ProblemSpec(d=d, N=N, n_o=args.n_o, l=args.l, m=args.m)
     x0 = getattr(args, "x0", None)
-    x0 = None if x0 is None else _per_axis(x0, d, "--x0")
-    return ProblemSpec(d=d, N=N, n_o=args.n_o, l=args.l, m=args.m, x0=x0)
+    # after the spec has checked d, which sets the length of --x0
+    return spec if x0 is None else replace(spec, x0=_per_axis(x0, d, "--x0"))
 
 
 def _build_function(args, spec: ProblemSpec):
@@ -235,7 +237,11 @@ def cmd_compare_classical(args) -> int:
     # Benchmark: lattice-representable gradient plus mild curvature, so the
     # quantum mode is exact while forward differences feel the quadratic term.
     g = np.full(spec.d, spec.m / spec.N)
-    H = (0.1 * spec.m / spec.l) * np.eye(spec.d)
+    curvature = 0.1 * spec.m / spec.l
+    if not curvature < np.inf:
+        raise ValueError(f"m = {spec.m} and l = {spec.l} give the benchmark curvature 0.1*m/l = "
+                         f"{curvature}; it must be finite")
+    H = curvature * np.eye(spec.d)
     f = quadratic(g, H, c=0.0)
     true = f.grad(spec.x0)
 

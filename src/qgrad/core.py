@@ -30,8 +30,15 @@ MAX_N_O = 52
 
 
 def _round_half_up(x) -> np.ndarray:
-    """Nearest integer, ties toward +inf (3.5 -> 4, -2.5 -> -2)."""
-    return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
+    """Nearest integer as int64, ties toward +inf (3.5 -> 4, -2.5 -> -2).
+
+    A float64 array is rounded in place before the cast, so callers pass
+    one they own; a scalar gives an np.int64.
+    """
+    x = np.asarray(x, dtype=float)
+    x += 0.5
+    np.floor(x, out=x)
+    return x.astype(np.int64)[()]
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class ProblemSpec:
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
-            raise ValueError(f"x0 must be finite, got {x0}")
+            raise ValueError(f"x0 must be finite, got {x0.tolist()}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 
@@ -204,8 +211,11 @@ def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
     values that are not finite or not below 2**53 in magnitude cannot be
     rounded exactly and raise ValueError.
     """
+    # one copy of the values, scaled, checked and rounded in place
+    scaled = np.array(f_val, dtype=float)
     with np.errstate(over="ignore"):
-        scaled = np.asarray(f_val, dtype=float) * (spec.N * spec.N_o) / (spec.m * spec.l)
+        scaled *= spec.N * spec.N_o
+        scaled /= spec.m * spec.l
     # min/max instead of an elementwise test: no temporary the size of the lattice
     if not (scaled.min() > -EXACT_FLOAT_INT and scaled.max() < EXACT_FLOAT_INT):
         raise ValueError(
@@ -222,7 +232,9 @@ def quantize_output(f_val, spec: ProblemSpec):
     N_o = 2**n_o with n_o <= 52, so the reduction is a mask of the low n_o
     bits, which gives the int64 `%` gives, negative registers included.
     """
-    return fixed_point(f_val, spec) & (spec.N_o - 1)
+    g = fixed_point(f_val, spec)
+    g &= spec.N_o - 1
+    return g
 
 
 def signed_index(k, N: int) -> np.ndarray:
@@ -255,6 +267,6 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
     with np.errstate(over="ignore"):
         scaled = spec.N * g / spec.m
     if not np.all(np.abs(scaled) < 2.0 ** 63):
-        raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g}")
+        raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g.tolist()}")
     # ties toward -inf: the negated round-half-up of the negated value
     return -_round_half_up(-scaled) % spec.N

@@ -3,9 +3,11 @@
 Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
-one-dimensional functions.  Every coefficient must be finite.  A function
-declares no range: `scanned_range` gives its exact min and max over a
-lattice, one block at a time.
+one-dimensional functions.  Every coefficient must be finite.  A value
+or derivative too large for a float is inf or nan, without a numpy warning;
+the build, the run and the precision budgets reject it with ValueError.  A
+function declares no range: `scanned_range` gives its exact min and max over
+a lattice, one block at a time.
 """
 from __future__ import annotations
 
@@ -48,6 +50,20 @@ def _points(x, d: int) -> np.ndarray:
     return pts
 
 
+def _catalog(name: str, d: int, ev, gr, he) -> TestFunction:
+    """A catalog `TestFunction` whose callbacks run with numpy's overflow and
+    invalid-value warnings off, so that a point too far out gives inf or nan."""
+
+    def quiet(callback):
+        def call(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return callback(x)
+
+        return call
+
+    return TestFunction(name=name, d=d, eval=quiet(ev), grad=quiet(gr), hess=quiet(he))
+
+
 def _finite(name: str, value) -> np.ndarray:
     """`value` as a float array, after checking that it is finite."""
     arr = np.asarray(value, dtype=float)
@@ -73,11 +89,67 @@ def linear(g, c: float = 0.0) -> TestFunction:
         pts = _points(x, d)
         return np.zeros(pts.shape[:-1] + (d, d))
 
-    return TestFunction(name="linear", d=d, eval=ev, grad=gr, hess=he)
+    return _catalog("linear", d, ev, gr, he)
+
+
+def _einsum_form(pts: np.ndarray, H: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,ij,...j->...", pts, H, pts)
+
+
+def _slab_form(pts: np.ndarray, H: np.ndarray, rows: int) -> np.ndarray:
+    """x^T H x for each row x of the (n, d) `pts`: the terms (x_i*H_ij)*x_j summed
+    from +0.0 in row-major (i, j) order, in slabs of about `rows` rows (at least 2).
+
+    Each slab's terms form one (d*d, rows) array, summed along its first axis.
+    """
+    n, d = pts.shape
+    out = np.empty(n)
+    # even slabs: with rows >= 4, none has a single row, which numpy would sum pairwise
+    slabs = -(-n // rows)
+    bounds = [n * i // slabs for i in range(slabs + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        x = pts[start:stop].T.copy()
+        terms = x[:, None, :] * H[:, :, None]
+        terms *= x[None, :, :]
+        np.add.reduce(terms.reshape(d * d, -1), axis=0, initial=0.0, out=out[start:stop])
+        del x, terms  # before the next slab's are made, so one slab's are alive at a time
+    return out
+
+
+def _slabs_give_einsum_bits() -> bool:
+    """Whether `_slab_form` gives `_einsum_form`'s bits for d = 2..8, on 16
+    points and an H of magnitudes 1e-8..1e8 and either sign.
+
+    The values follow golden-ratio sequences, so that no random generator is
+    loaded at import; H is not symmetric, which tells more orders apart.
+    """
+    for d in range(2, 9):
+        i = np.arange(16 * d + d * d)
+        sign = np.where(i * 0.7548776662466927 % 1.0 < 0.5, -1.0, 1.0)
+        v = sign * 10.0 ** (16.0 * (i * 0.6180339887498949 % 1.0) - 8.0)
+        pts, H = v[:16 * d].reshape(16, d), v[16 * d:].reshape(d, d)
+        if not np.array_equal(_slab_form(pts, H, 4), _einsum_form(pts, H)):
+            return False
+    return True
+
+
+# numpy 2.4's einsum sums x^T H x over 3 or more rows in the slab order; where
+# the installed numpy's does not, every input takes einsum
+_SLABS = _slabs_give_einsum_bits()
 
 
 def quadratic(g, H, c: float = 0.0) -> TestFunction:
-    """f(x) = c + g.x + x^T H x / 2 with symmetric H."""
+    """f(x) = c + g.x + x^T H x / 2 with symmetric H.
+
+    x^T H x has the bits of np.einsum("...i,ij,...j->...", x, H, x).  For
+    an (n, d) array of n >= 3 points with d >= 2, einsum sums the terms
+    (x_i*H_ij)*x_j from +0.0 in row-major (i, j) order, and `eval` takes
+    that sum with a few numpy calls per slab of rows, each slab's terms
+    within BLOCK_POINTS floats (512 KB).  One or two points, d = 1 and
+    other shapes go to einsum itself, which sums in an order of its own
+    there or is faster (d = 1); so does every input when a probe at import
+    finds that the installed numpy's einsum does not sum in the slab order.
+    """
     g = np.atleast_1d(_finite("g", g))
     _finite("c", c)
     d = g.size
@@ -85,7 +157,15 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
 
     def ev(x):
         pts = _points(x, d)
-        return c + pts @ g + 0.5 * np.einsum("...i,ij,...j->...", pts, H, pts)
+        if not (_SLABS and d >= 2 and pts.ndim == 2 and len(pts) >= 3):
+            return c + pts @ g + 0.5 * _einsum_form(pts, H)
+        from .qsim import BLOCK_POINTS  # qsim imports this module
+
+        form = _slab_form(pts, H, max(4, BLOCK_POINTS // (d * d)))
+        # halved in place, as numpy's temporary elision halves the einsum above,
+        # and taken before c + g.x, so that no block-sized sum waits through the slabs
+        form *= 0.5
+        return c + pts @ g + form
 
     def gr(x):
         return g + _points(x, d) @ H
@@ -94,7 +174,7 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
         pts = _points(x, d)
         return np.broadcast_to(H, pts.shape[:-1] + (d, d)).copy()
 
-    return TestFunction(name="quadratic", d=d, eval=ev, grad=gr, hess=he)
+    return _catalog("quadratic", d, ev, gr, he)
 
 
 def cubic_1d(a3: float) -> TestFunction:
@@ -110,7 +190,7 @@ def cubic_1d(a3: float) -> TestFunction:
     def he(x):
         return (6.0 * a3 * _points(x, 1))[..., None]
 
-    return TestFunction(name="cubic_1d", d=1, eval=ev, grad=gr, hess=he)
+    return _catalog("cubic_1d", 1, ev, gr, he)
 
 
 def sinusoid(amplitude: float, wavevector) -> TestFunction:
@@ -128,7 +208,7 @@ def sinusoid(amplitude: float, wavevector) -> TestFunction:
     def he(x):
         return -amplitude * np.sin(_points(x, d) @ k)[..., None, None] * np.outer(k, k)
 
-    return TestFunction(name="sinusoid", d=d, eval=ev, grad=gr, hess=he)
+    return _catalog("sinusoid", d, ev, gr, he)
 
 
 def scanned_range(fn: TestFunction, spec: ProblemSpec):

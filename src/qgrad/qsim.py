@@ -222,7 +222,8 @@ def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
     them, enumerates only its first line and its line heads: along a
     line only the last coordinate changes, and encode_input maps each column
     on its own, so every point takes its leading coordinates from its line's
-    head and its last one from the first line.  Any other block enumerates
+    head and its last one from the first line: each head is repeated N
+    times and the last column written over.  Any other block enumerates
     its rows directly.
     """
     N = spec.N
@@ -230,10 +231,9 @@ def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
         return encode_input(lattice_points(spec, start, stop), spec)
     first = encode_input(lattice_points(spec, start, start + N), spec)
     heads = encode_input(lattice_points(spec, start, stop, step=N), spec)
-    points = np.empty((heads.shape[0], N, spec.d))
-    points[:, :, :-1] = heads[:, None, :-1]
-    points[:, :, -1] = first[:, -1]
-    return points.reshape(-1, spec.d)
+    points = np.repeat(heads, N, axis=0)
+    points.reshape(-1, N, spec.d)[:, :, -1] = first[:, -1]
+    return points
 
 
 def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> AmplitudeGrid:

@@ -65,6 +65,18 @@ def test_sigma_consistency_between_units():
     assert pred.sigma_k ** 2 == pytest.approx((pred.support_matrix ** 2).sum(axis=1) / 12.0)
 
 
+def test_a_hessian_whose_squares_overflow():
+    # the 1D benchmark at l = 1e-300: f'' = 2*m*alpha/l = 5e299, whose square
+    # once overflowed to a printed sigma_pred of inf; sigma_grad is m*alpha/sqrt(3)
+    spec = spec_for(N=256, l=1e-300, m=0.5)
+    pred = stationary_phase_sigma([[2 * spec.m * 0.5 / spec.l]], spec)
+    assert pred.sigma_grad[0] == pytest.approx(0.5 * 0.5 / math.sqrt(3), rel=1e-12)
+    # a spread or support matrix beyond the floats is rejected, not returned as inf
+    for H in ([[1e308]], [[1e300, 1e300], [1e300, 1e300]]):
+        with pytest.raises(ValueError, match="beyond the floats"):
+            stationary_phase_sigma(H, spec_for(N=256, d=len(H), l=1e9, m=1.0))
+
+
 def test_asymmetric_hessian_rejected():
     with pytest.raises(ValueError):
         stationary_phase_sigma([[1.0, 0.5], [0.0, 1.0]], spec_for(d=2))

@@ -1,12 +1,18 @@
 """Tests for the CSV experiment runner: columns, determinism, exit codes."""
+import contextlib
 import csv
+import io
 import math
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrad import ProblemSpec, stationary_phase_sigma, support_membership
 from qgrad import cli
@@ -291,6 +297,120 @@ def test_non_finite_coefficients_exit_2(tmp_path, capsys):
     for argv, message in cases:
         out = tmp_path / "o.csv"
         assert main(["run", *argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
+
+# the edge values drawn for every flag, beside ordinary ones
+EDGES = ["0", "1", "-1", "5e-324", "1e-300", "1e308", "1e-308", "inf", "-inf", "nan", "-0"]
+
+
+def _value(ordinary):
+    return st.sampled_from(EDGES) | ordinary
+
+
+REAL = _value(st.sampled_from(["0.5", "2", "-3", "0.001", "100", "0.02"]))
+COUNT = _value(st.sampled_from(["0", "3", "52", "1000", "30", "16"]))
+
+
+@st.composite
+def _real_list(draw, most):
+    return ",".join(draw(st.lists(REAL, min_size=1, max_size=most)))
+
+
+@st.composite
+def _lattice(draw, d_flag, ds, max_points=4096):
+    """--d, and --N or --n-bits, whose lattice holds at most max_points points when d is valid."""
+    argv, d = [], draw(ds)
+    if d_flag and draw(st.booleans()):
+        text = draw(_value(st.just(str(d))))
+        argv += ["--d", text]
+        d = int(text) if text.lstrip("-").isdigit() and int(text) >= 1 else 1
+    top = max(2, int(round(max_points ** (1 / d))))
+    while top ** d > max_points:
+        top -= 1
+    which = draw(st.sampled_from(["--N", "--n-bits", "both"]))
+    if which in ("--N", "both"):
+        argv += ["--N", draw(_value(st.integers(2, top).map(str)))]
+    if which in ("--n-bits", "both"):
+        argv += ["--n-bits", draw(_value(st.integers(1, top.bit_length() - 1).map(str)))]
+    return argv, d
+
+
+def _options(draw, flags):
+    """Each flag of `flags` (name -> strategy of its text) given or left at its default."""
+    return [item for flag, values in flags.items() if draw(st.booleans()) for item in (flag, draw(values))]
+
+
+SHARED = {"--n-o": COUNT, "--m": REAL, "--seed": COUNT}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["run", "sweep-n", "sweep-alpha", "peak2d", "compare-classical"]))
+    if command == "run":
+        lattice, d = draw(_lattice(True, st.integers(1, 12)))
+        flags = {**SHARED, "--l": REAL, "--x0": _real_list(d), "--gradient": _real_list(d),
+                 "--hessian": _real_list(d * d), "--alpha": REAL, "--coeff": REAL, "--a3": REAL,
+                 "--amplitude": REAL, "--wavevector": _real_list(d), "--shots": COUNT}
+        lattice += ["--function", draw(st.sampled_from(["linear", "quadratic", "cubic_1d", "sinusoid"]))]
+    elif command == "sweep-n":
+        sizes = st.lists(_value(st.integers(2, 4096).map(str)), min_size=1, max_size=3).map(",".join)
+        lattice, flags = [], {**SHARED, "--alpha": REAL, "--N": sizes}
+    elif command == "sweep-alpha":
+        lattice = []
+        flags = {**SHARED, "--alpha": _real_list(3), "--N": _value(st.integers(2, 4096).map(str))}
+    elif command == "peak2d":
+        lattice, _ = draw(_lattice(False, st.just(2)))
+        flags = {**SHARED, "--l": REAL, "--hessian": _real_list(4), "--slack-cells": REAL,
+                 "--slack-cells-outer": REAL}
+    else:
+        lattice, d = draw(_lattice(True, st.integers(1, 12)))
+        flags = {**SHARED, "--l": REAL, "--x0": _real_list(d), "--theta": REAL}
+    return [command, *lattice, *_options(draw, flags), "--out", os.devnull]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_exits_0_or_2(argv):
+    # an input is answered or rejected with one error line: never a traceback or a warning
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value it cannot parse
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        # argparse prints its usage lines above its error line; a rejection by qgrad is the one line
+        lines = err.getvalue().splitlines()
+        assert sum("error:" in line for line in lines) == 1, lines
+        assert len(lines) == 1 or lines[0].startswith("usage:"), lines
+
+
+def test_values_beyond_the_floats(tmp_path, capsys):
+    # each once warned on the way (exit 1 under the warning filter), or, the
+    # first, exited 0 with a sigma_pred of inf
+    out = tmp_path / "o.csv"
+    assert main(["run", "--n-bits", "8", "--function", "quadratic", "--m", "0.5", "--l", "1e-300",
+                 "--alpha", "0.5", "--out", str(out)]) == 0
+    assert read_csv(out)[2][0][4] == "0.144337567297"
+    cases = [
+        (["run", "--function", "sinusoid", "--amplitude", "1e308", "--wavevector", "2"], "N*g/m must be finite"),
+        (["run", "--function", "cubic_1d", "--x0", "1e308"], "N*g/m must be finite"),
+        (["compare-classical", "--x0", "1e308,1,0.1"], "f_max, f_min and n must be finite"),
+        (["compare-classical", "--N", "2", "--n-o", "3", "--m", "100", "--l", "1e-308"],
+         "m = 100.0 and l = 1e-308 give the benchmark curvature"),
+        (["peak2d", "--n-bits", "2", "--l", "0.1", "--hessian", "0.02,0,5e-324,1e308"], "N*N_o*f/(m*l) must be finite"),
+        (["compare-classical", "--d", "-1", "--x0", "1"], "d must be >= 1"),  # once "--x0 needs 1 or -1 components"
+    ]
+    for argv, message in cases:
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
         assert not out.exists()

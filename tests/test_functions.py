@@ -1,8 +1,11 @@
 """Tests for the analytic test-function catalog, including the self-consistency gate."""
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrad import (
     ProblemSpec,
@@ -11,6 +14,7 @@ from qgrad import (
     cubic_1d,
     functions,
     linear,
+    qsim,
     quadratic,
     scanned_range,
     sinusoid,
@@ -62,6 +66,79 @@ def test_quadratic_eval_value():
     # hand evaluation: 5 + 2*3 + 0 = 11
     f = quadratic([2.0], [[0.0]], c=5.0)
     assert f.eval([3.0]) == pytest.approx(11.0)
+
+
+def _mixed(rng, shape, zeros=0.0):
+    """Values of magnitude 1e-8..1e8 and either sign, each a signed zero with probability `zeros`."""
+    values = 10.0 ** rng.uniform(-8.0, 8.0, shape) * rng.choice((-1.0, 1.0), shape)
+    return np.asarray(np.where(rng.random(shape) < zeros, np.copysign(0.0, values), values))
+
+
+# the shape of the points, given d and n; () is a d = 1 scalar
+SHAPES = {
+    "scalar": lambda d, n: (),
+    "point": lambda d, n: (d,),
+    "rows": lambda d, n: (n, d),
+    "grid": lambda d, n: (n, 3, d),
+}
+# how the points (of at least one axis) are laid out in memory
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "every other row": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "reversed columns": lambda a: a[..., ::-1].copy()[..., ::-1],
+    "broadcast": lambda a: np.broadcast_to(a[:1], a.shape),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(sorted(SHAPES)), st.sampled_from(sorted(LAYOUTS)),
+       st.one_of(st.integers(0, 12), st.sampled_from([4095, 4097, 65520, qsim.BLOCK_POINTS])),
+       st.sampled_from([qsim.BLOCK_POINTS, 64, 7]), st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 32 - 1))
+def test_quadratic_eval_has_the_bits_of_einsum(d, shape, layout, n, block, zeros, seed):
+    # the slab sums over (n, d) rows, and einsum itself on every other input,
+    # give einsum's bits: checked against the expression the catalog used to evaluate
+    if shape == "scalar" and d != 1:
+        shape = "point"
+    if shape == "grid":
+        n = min(n, 50)
+    rng = np.random.default_rng(seed)
+    A = _mixed(rng, (d, d), zeros)
+    H, g, c = A + A.T, _mixed(rng, d), float(_mixed(rng, ()))
+    x = _mixed(rng, SHAPES[shape](d, n), zeros)
+    x = LAYOUTS[layout](x) if x.ndim else x
+    pts = np.asarray(x, dtype=float).reshape(x.shape or (1,))
+    form = np.einsum("...i,ij,...j->...", pts, H, pts)
+    want = c + pts @ g + 0.5 * form
+    with mock.patch.object(qsim, "BLOCK_POINTS", block):  # slabs of BLOCK_POINTS // d**2 rows, at least 4
+        got = quadratic(g, H, c=c).eval(x)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if functions._SLABS and d >= 2 and pts.ndim == 2 and len(pts) >= 3:
+        # the slab sums themselves, zero signs included, which a wrong order
+        # would switch off through the probe
+        assert functions._slab_form(pts, H, max(4, block // d ** 2)).tobytes() == form.tobytes()
+
+
+def test_slab_sums_start_from_plus_zero():
+    # every term (x_i*H_ij)*x_j of these points is -0.0, and einsum's sums start from +0.0
+    H = -np.array([[1.0, 0.5], [0.5, 1.0]])
+    pts = np.zeros((9, 2))
+    want = np.einsum("...i,ij,...j->...", pts, H, pts)
+    assert want.tobytes() == np.zeros(9).tobytes()
+    assert functions._slab_form(pts, H, 4).tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="einsum's order is measured on numpy 2.4")
+def test_numpy_2_4_takes_the_slab_sums():
+    assert functions._SLABS
+
+
+def test_quadratic_eval_of_no_points():
+    f = quadratic([0.1, 0.2], [[1.0, 0.5], [0.5, 2.0]])
+    assert f.eval(np.empty((0, 2))).shape == (0,)
+    assert f.eval(np.empty((0, 3, 2))).shape == (0, 3)
 
 
 def test_quadratic_rejects_asymmetric():
