@@ -31,32 +31,55 @@ def _stencil_center(x, l: float) -> np.ndarray:
     return x
 
 
+def _query(f: TestFunction, point: np.ndarray) -> float:
+    """f(point), one `f.eval` call; a value that is not finite raises ValueError."""
+    value = float(f.eval(point))
+    if not np.isfinite(value):
+        raise ValueError(f"{f.name} is {value} at the query point {point.tolist()}; "
+                         f"a difference rule needs finite values")
+    return value
+
+
 def _axis_queries(f: TestFunction, x: np.ndarray, s: float) -> np.ndarray:
     """[f(x + s*e_i) for each axis i], one `f.eval` call per point."""
     values = np.empty(x.size)
     for i in range(x.size):
         point = x.copy()
         point[i] += s
-        values[i] = float(f.eval(point))
+        values[i] = _query(f, point)
     return values
 
 
+def _quotients(hi: np.ndarray, lo, l: float, x: np.ndarray) -> np.ndarray:
+    """(hi - lo) / l, which must be finite: finite values can still overflow there."""
+    with np.errstate(over="ignore"):
+        g = (hi - lo) / l
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"the difference quotients at x = {x.tolist()} with l = {l} overflow to {g.tolist()}")
+    return g
+
+
 def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
-    """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries."""
+    """g_i = (f(x + l*e_i) - f(x)) / l, using d+1 queries.
+
+    A query value that is not finite, or a quotient that overflows, raises
+    ValueError.
+    """
     x = _stencil_center(x, l)
-    f0 = float(f.eval(x))
-    return ClassicalReport((_axis_queries(f, x, l) - f0) / l, queries=x.size + 1)
+    f0 = _query(f, x)
+    return ClassicalReport(_quotients(_axis_queries(f, x, l), f0, l, x), queries=x.size + 1)
 
 
 def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     """g_i = (f(x + (l/2)e_i) - f(x - (l/2)e_i)) / l, using 2d queries.
 
     Centering the stencil cancels the quadratic terms, leaving an error of
-    order l^2 from the cubic ones.
+    order l^2 from the cubic ones.  A query value that is not finite, or a
+    quotient that overflows, raises ValueError.
     """
     x = _stencil_center(x, l)
     hi, lo = _axis_queries(f, x, l / 2.0), _axis_queries(f, x, -l / 2.0)
-    return ClassicalReport((hi - lo) / l, queries=2 * x.size)
+    return ClassicalReport(_quotients(hi, lo, l, x), queries=2 * x.size)
 
 
 _METHODS = {"forward": forward_difference, "central": central_difference}
@@ -83,9 +106,10 @@ def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> 
     x = _stencil_center(x, ls[0])
     true = np.atleast_1d(np.asarray(f.grad(x), dtype=float)).reshape(-1)
     diff = _METHODS[method]
-    errors = np.array(
-        [np.max(np.abs(diff(f, x, l).gradient_estimate - true)) for l in ls]
-    )
+    with np.errstate(over="ignore"):  # an error that overflows is rejected below
+        errors = np.array(
+            [np.max(np.abs(diff(f, x, l).gradient_estimate - true)) for l in ls]
+        )
     if not np.all(np.isfinite(errors)):
         raise ValueError(f"errors must be finite, got {errors}")
 

@@ -209,7 +209,8 @@ def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
     One unit corresponds to a function increment of m*l/(N*N_o).  This is the
     classical register; the oracle register is the same value mod N_o.  Scaled
     values that are not finite or not below 2**53 in magnitude cannot be
-    rounded exactly and raise ValueError.
+    rounded exactly and raise ValueError.  An empty array gives an empty
+    int64 array of its shape.
     """
     # one copy of the values, scaled, checked and rounded in place
     scaled = np.array(f_val, dtype=float)
@@ -217,7 +218,7 @@ def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
         scaled *= spec.N * spec.N_o
         scaled /= spec.m * spec.l
     # min/max instead of an elementwise test: no temporary the size of the lattice
-    if not (scaled.min() > -EXACT_FLOAT_INT and scaled.max() < EXACT_FLOAT_INT):
+    if scaled.size and not (scaled.min() > -EXACT_FLOAT_INT and scaled.max() < EXACT_FLOAT_INT):
         raise ValueError(
             f"N*N_o*f/(m*l) must be finite and below 2**53 in magnitude, got values in "
             f"[{scaled.min()}, {scaled.max()}]; lower n_o or N, or widen m*l"

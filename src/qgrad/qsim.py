@@ -9,10 +9,12 @@ exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
 `_walk`, the one walk of f over the lattice, evaluates that query in
-row-major blocks, so the state is the only lattice-sized array of the build;
-the phases come from a table of the N_o register values only when that table
-is smaller than the lattice and no larger than a block.  A grid holds its
-amplitudes or probabilities as one C-contiguous flat array.
+row-major blocks that never straddle a line end, so the state is the only
+lattice-sized array of the build; the phases come from a table of the N_o
+register values only when that table is smaller than the lattice and no
+larger than a block.  A grid holds its amplitudes or probabilities as one
+C-contiguous flat array.  A d = 1 lattice is the d >= 2 one with no leading
+axes: its blocks are enumerated, and its line transformed, by the same code.
 
 Every pass that splits its work does so by one rule, in `_in_chunks`: at
 most one contiguous chunk per usable core (`_WORKERS`), and no chunk with
@@ -21,9 +23,10 @@ its axes, in a transform).  The calling thread runs the first chunk and a
 `ThreadPoolExecutor` made for the call runs the others; its threads are all
 joined before the call returns.  numpy releases the GIL in that work, and
 each chunk does exactly what the serial code does there, so the bits do not
-depend on the worker count.  A d = 1 line of N = n1**2 > BLOCK_POINTS points
-takes a four-step FFT over an (n1, n1) view of its own buffer, whose
-rounding differs from pocketfft's by a few float64 roundings of max |X|.
+depend on the worker count.  The one exception to the shared transform, a
+d = 1 line of N = n1**2 > BLOCK_POINTS points, takes a four-step FFT over an
+(n1, n1) view of its own buffer, whose rounding differs from pocketfft's by
+a few float64 roundings of max |X|.
 
 Pipeline: build_phase_state -> fourier_transform -> outcome_distribution ->
 sample, with decoding through `core.decode_outcome`.  The forward transform
@@ -174,6 +177,7 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
                 amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
             else:
                 np.take(table, g, out=amps[start:stop])
+            del g  # nor through the next block's points and values
 
     _walk(f, spec, fill)
     return AmplitudeGrid(spec, amps)
@@ -183,12 +187,13 @@ def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
     """The one walk of f over the lattice: [consume(blocks)] over contiguous
     runs of blocks in row order, as `_in_chunks` splits them.
 
-    A block is the whole last-axis lines that fit in BLOCK_POINTS, or
-    BLOCK_POINTS rows if a line is longer; `blocks` yields each block's
-    (start, stop, f at rows [start, stop)).
+    A block never straddles a line end: it is the whole last-axis lines
+    that fit in BLOCK_POINTS, at least one, or, on the single line of a
+    d = 1 lattice longer than BLOCK_POINTS, a run of BLOCK_POINTS rows;
+    `blocks` yields each block's (start, stop, f at rows [start, stop)).
     """
     _check_d(f, spec)
-    rows = spec.N * (BLOCK_POINTS // spec.N) or BLOCK_POINTS
+    rows = spec.N * (BLOCK_POINTS // spec.N) or (BLOCK_POINTS if spec.d == 1 else spec.N)
 
     def blocks(first, last):
         for start in range(first * rows, min(last * rows, spec.size), rows):
@@ -218,21 +223,20 @@ def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
 def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
     """Encoded points of rows [start, stop), shape (stop - start, d).
 
-    A block of 2N rows or more, whole last-axis lines as `_walk` makes
-    them, enumerates only its first line and its line heads: along a
-    line only the last coordinate changes, and encode_input maps each column
-    on its own, so every point takes its leading coordinates from its line's
-    head and its last one from the first line: each head is repeated N
-    times and the last column written over.  Any other block enumerates
-    its rows directly.
+    A block of `_walk` is whole last-axis lines, or one run of w < N rows
+    inside the d = 1 line, so with w = min(N, stop - start) it holds runs of
+    w rows, each starting at a line head, along which only the last
+    coordinate changes, through the same w values start % N + arange(w).
+    encode_input maps each column on its own, so the block is its encoded
+    heads, each repeated w times, with the last column written over by the
+    encoded run.  At d = 1 the one head is the run's first row.
     """
-    N = spec.N
-    if stop - start < 2 * N:
-        return encode_input(lattice_points(spec, start, stop), spec)
-    first = encode_input(lattice_points(spec, start, start + N), spec)
-    heads = encode_input(lattice_points(spec, start, stop, step=N), spec)
-    points = np.repeat(heads, N, axis=0)
-    points.reshape(-1, N, spec.d)[:, :, -1] = first[:, -1]
+    N, d = spec.N, spec.d
+    w = min(N, stop - start)
+    # the run first: its index temporaries are freed before the block is allocated
+    run = encode_input(np.broadcast_to((start % N + np.arange(w))[:, None], (w, d)), spec)[:, -1]
+    points = np.repeat(encode_input(lattice_points(spec, start, stop, step=w), spec), w, axis=0)
+    points.reshape(-1, w, d)[:, :, -1] = run
     return points
 
 
@@ -246,17 +250,17 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
     By default the result is a new array and the input grid is left
     unchanged; `in_place=True` transforms the grid's own buffer.
 
-    For d >= 2 the axes are taken in `np.fft.fftn`'s order, last first, in
-    two passes over the workers: axes d-1..1 on chunks of axis 0, then
+    The axes are taken in `np.fft.fftn`'s order, last first: for d >= 2,
+    axes d-1..1 on chunks of axis 0 over the workers, then, for every d,
     axis 0 by `_columns` on the (N, N**(d-1)) view.  Each line is
     transformed as `fftn` would, so the result is the same to the bit.
 
-    For d = 1 with N above BLOCK_POINTS and N = n1**2, the line is
-    transformed by `_four_step` in the output buffer itself, in three
-    passes over the workers, with the same bits for any worker count.  Its
-    rounding is not pocketfft's: against one `np.fft.fft` of the line the
-    results differ by a few float64 roundings of max |X| (about 5e-16 of
-    it at 2**18..2**22).  Any other d = 1 line is one `np.fft.fftn` call.
+    The one exception is a d = 1 line with N above BLOCK_POINTS and
+    N = n1**2: it is transformed by `_four_step` in the output buffer
+    itself, in three passes over the workers, with the same bits for any
+    worker count.  Its rounding is not pocketfft's: against one
+    `np.fft.fft` of the line the results differ by a few float64 roundings
+    of max |X| (about 5e-16 of it at 2**18..2**22).
     """
     spec = grid.spec
     scale = spec.N ** (spec.d / 2.0)
@@ -266,9 +270,7 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
     if spec.d == 1 and spec.N > BLOCK_POINTS and n1 * n1 == spec.N:
         _four_step(out.reshape(n1, n1), scale)
         return replace(grid, amps=out)
-    if spec.d == 1:
-        np.fft.fftn(out, out=out)
-    else:
+    if spec.d > 1:
         a = out.reshape(spec.shape)
         inner = tuple(range(1, spec.d))
 
@@ -276,7 +278,7 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
             np.fft.fftn(a[first:last], axes=inner, out=a[first:last])
 
         _in_chunks(inner_axes, spec.N, spec.size * (spec.d - 1))
-        _columns(out.reshape(spec.N, -1))
+    _columns(out.reshape(spec.N, -1))
     out /= scale
     return replace(grid, amps=out)
 

@@ -111,14 +111,44 @@ def test_central_on_quadratic_is_degenerate():
 
 
 def test_fit_rejects_errors_that_are_not_finite():
-    # nan stands for the noise floor only, never for an error that blew up
+    # nan stands for the noise floor only, never for an error that blew up:
+    # an infinite value is rejected by the rule at its query point
     def ev(x):
         x = np.asarray(x, dtype=float)[..., 0]
         return np.where(x > 0.3, np.inf, x ** 3)
 
     f = replace(cubic_1d(1.0), eval=ev)
+    with pytest.raises(ValueError, match=r"is inf at the query point \[0\.5\]"):
+        error_scaling_fit(f, [0.0], np.logspace(-2, 0, 8))
+    # finite estimates whose distance from the analytic gradient overflows
+    f = replace(linear([1.7e308]), grad=lambda x: np.array([-1.7e308]))
     with pytest.raises(ValueError, match="errors must be finite"):
         error_scaling_fit(f, [0.0], np.logspace(-2, 0, 8))
+
+
+@pytest.mark.parametrize("difference", [forward_difference, central_difference])
+def test_rules_reject_values_that_are_not_finite(difference):
+    # f(x) itself overflows; only one axis query overflows; a nan value
+    with pytest.raises(ValueError, match=r"quadratic is inf at the query point \[1e\+300\]"):
+        difference(quadratic([1e308], [[1.0]]), [1e300], 1.0)
+    f = replace(linear([0.0, 0.0]), eval=lambda x: np.where(np.asarray(x)[..., 1] > 0.2, np.inf, 0.0))
+    with pytest.raises(ValueError, match=r"is inf at the query point \[0\.0, 0\.5\]"):
+        difference(f, [0.0, 0.0], 1.0 if difference is central_difference else 0.5)
+    f = replace(linear([0.0]), eval=lambda x: np.full(np.shape(x)[:-1], np.nan))
+    with pytest.raises(ValueError, match="is nan at the query point"):
+        difference(f, [0.0], 0.1)
+
+
+def test_rules_reject_quotients_that_overflow():
+    # f(x) = -1.5e308 and f(x + l) = 1.5e308 are finite, their difference is not
+    with pytest.raises(ValueError, match="overflow"):
+        forward_difference(linear([1e308]), [-1.5], 3.0)
+    with pytest.raises(ValueError, match="overflow"):
+        central_difference(linear([1e308]), [0.0], 3.0)
+    # a unit step over a subnormal l: a finite difference, an overflowing quotient
+    step = replace(linear([0.0]), eval=lambda x: np.where(np.asarray(x)[..., 0] > 0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"at x = \[0\.0\] with l = 1e-310 overflow"):
+        forward_difference(step, [0.0], 1e-310)
 
 
 def test_fit_input_validation():

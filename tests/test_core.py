@@ -9,7 +9,9 @@ from qgrad import (
     ProblemSpec,
     decode_outcome,
     encode_input,
+    fixed_point,
     nearest_lattice_index,
+    quadratic,
     quantize_output,
 )
 from qgrad.core import _round_half_up
@@ -127,6 +129,27 @@ def test_quantize_rejects_values_beyond_exact_rounding():
             quantize_output(f, spec)
     with pytest.raises(ValueError):
         quantize_output(np.array([0.0, -9.0]), spec)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_empty_values_give_empty_registers(shape):
+    # as the catalog's eval gives [] for no points
+    spec = spec_1d()
+    assert quadratic([0.1], [[0.4]]).eval(np.empty((0, 1))).shape == (0,)
+    for quantize in (fixed_point, quantize_output):
+        g = quantize(np.empty(shape), spec)
+        assert g.dtype == np.int64 and g.shape == shape
+
+
+def test_the_2_53_message_names_the_scaled_range():
+    # N*N_o/(m*l) = 2**50, as above: 8 and -9 scale to 2**53 and -9 * 2**50
+    spec = spec_1d(N=4, n_o=48)
+    for quantize in (fixed_point, quantize_output):
+        with pytest.raises(ValueError) as raised:
+            quantize(np.array([0.0, -9.0, 8.0]), spec)
+        assert str(raised.value) == (
+            "N*N_o*f/(m*l) must be finite and below 2**53 in magnitude, got values in "
+            f"[{-9.0 * 2.0 ** 50}, {2.0 ** 53}]; lower n_o or N, or widen m*l")
 
 
 def test_quantize_overflow_raises_without_warning():

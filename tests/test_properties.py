@@ -68,9 +68,9 @@ MAX_BUILD_N = {1: 300, 2: 48, 3: 13, 4: 7}
 @FAST
 @given(st.data())
 def test_build_does_not_depend_on_the_blocking(data):
-    # blocks of whole last-axis lines, several short lines, segments of a line
-    # (a block below N at d >= 2) or sizes that do not divide N: every blocking
-    # gives the one-shot formula's amplitudes to the bit
+    # blocks of whole last-axis lines, several short lines, one line for a block
+    # below N at d >= 2, runs inside the d = 1 line, or sizes that do not divide N:
+    # every blocking gives the one-shot formula's amplitudes to the bit
     d = data.draw(st.integers(1, 4))
     N = data.draw(st.integers(2, MAX_BUILD_N[d]))
     size = N ** d

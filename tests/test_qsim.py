@@ -150,8 +150,8 @@ def test_nan_in_the_last_block_gives_nan_bounds():
 
 def test_build_calls_each_stage_once_per_block(monkeypatch):
     # perfbench's per-layer tracing wraps these qsim globals; the build must look them up.
-    # eval and quantize_output run once per block; lattice_points and encode_input
-    # once per block of fewer than 2N rows, twice (first line, line heads) per longer block
+    # eval, quantize_output and lattice_points (the line heads) run once per block,
+    # encode_input twice (the heads and the run of last coordinates)
     calls = Counter()
 
     def counted(name, fn):
@@ -164,19 +164,19 @@ def test_build_calls_each_stage_once_per_block(monkeypatch):
         monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
     d2, d1 = STREAMED_CASES[2], STREAMED_CASES[0]
     small = (ProblemSpec(d=2, N=5, n_o=8, l=1.0, m=1.0), d2[1])
-    # (case, BLOCK_POINTS, blocks, enumerations)
+    # (case, BLOCK_POINTS, blocks)
     cases = [
-        (d2, BLOCK_POINTS, 2, 4),  # 300 lines of 300: blocks of 218 and 82 lines
-        (d1, BLOCK_POINTS, 3, 3),  # one line of 2B + 100: segments B, B, 100
-        (small, 10, 3, 5),  # 5 lines of 5: blocks of 2, 2 and 1 lines
-        (small, 3, 9, 9),  # 25 rows in blocks of 3 (the last of 1), across line ends
+        (d2, BLOCK_POINTS, 2),  # 300 lines of 300: blocks of 218 and 82 lines
+        (d1, BLOCK_POINTS, 3),  # one line of 2B + 100: runs B, B, 100
+        (small, 10, 3),  # 5 lines of 5: blocks of 2, 2 and 1 lines
+        (small, 3, 5),  # lines longer than a block: one line per block
     ]
-    for (spec, f), block, blocks, enumerations in cases:
+    for (spec, f), block, blocks in cases:
         calls.clear()
         monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
         f = replace(f, eval=counted("eval", f.eval))
         build_phase_state(f, spec)
-        assert calls == {"lattice_points": enumerations, "encode_input": enumerations,
+        assert calls == {"lattice_points": blocks, "encode_input": 2 * blocks,
                          "quantize_output": blocks, "eval": blocks}
 
 
@@ -194,6 +194,25 @@ def test_the_build_queries_every_lattice_row_once(monkeypatch, spec, blocks):
     points = np.concatenate(batches)
     points = points[np.lexsort(points.T[::-1])]  # row-major order, as the encoding keeps it
     assert np.array_equal(points, encode_input(lattice_points(spec), spec))
+
+
+@pytest.mark.parametrize("d,N", [(1, 23), (2, 7), (3, 5)])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 6, 7, 8, 24, 50, 200])
+def test_no_block_straddles_a_line_end(monkeypatch, d, N, block):
+    # at d >= 2 each eval batch is whole last-axis lines, at least one; at d = 1 it
+    # is the whole line or a run of BLOCK_POINTS rows inside it (the last one shorter)
+    spec = ProblemSpec(d=d, N=N, n_o=8, l=1.0, m=1.0)
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
+    f, batches = counted(quadratic(np.full(d, 0.1), 0.4 * np.eye(d)))
+    build_phase_state(f, spec)
+    rows = encode_input(lattice_points(spec), spec)
+    width = min(N, block) if d == 1 else N * max(1, block // N)
+    start = 0
+    for batch in sorted(batches, key=lambda batch: tuple(batch[0])):  # the workers' batches in row order
+        assert len(batch) == min(width, spec.size - start)
+        assert np.array_equal(batch, rows[start:start + len(batch)])
+        start += len(batch)
+    assert start == spec.size
 
 
 # d=1, four blocks (B, B, B, 100): two workers take blocks 0-1 and 2-3
@@ -624,7 +643,7 @@ def test_four_step_agrees_with_pocketfft(monkeypatch, N):
     assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("N", [STREAMED_CASES[0][0].N, 2 ** 17, BLOCK_POINTS])
+@pytest.mark.parametrize("N", [2, 3, 1000, 200003, STREAMED_CASES[0][0].N, 2 ** 17, BLOCK_POINTS])
 def test_other_lines_stay_on_pocketfft(monkeypatch, N):
     # N not a square, or a square not above the block
     shapes = _four_step_shapes(monkeypatch)
