@@ -17,6 +17,7 @@ failure (traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, qsim
 from .analysis import (
     _check_theta,
     classical_precision_bits,
@@ -51,21 +52,22 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _write_csv(out: str, comments: list[str], columns: dict[str, str], rows):
-    """Write comment lines, the header and one line per row.
+def _write_csv(out: str, comments: list[str], columns: dict[str, str], blocks):
+    """Write comment lines, the header and one line per row of each block of rows.
 
     `columns` maps each column name to its printf code: "%d" (ints, bools as
-    1/0), "%.12g" (floats) or "%s" (text).  The body is one % operation.
+    1/0), "%.12g" (floats) or "%s" (text).  Each block is formatted with one
+    % operation and written before the next block is formatted, so only one
+    block's text is held at a time.
     """
-    cells = tuple(itertools.chain.from_iterable(rows))
     line = ",".join(columns.values()) + "\n"
-    body = (line * (len(cells) // len(columns))) % cells
-    text = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n" + body
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    head = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        fh.write(head)
+        for rows in blocks:
+            cells = tuple(itertools.chain.from_iterable(rows))
+            fh.write((line * (len(cells) // len(columns))) % cells)
 
 
 def _config_comment(args: argparse.Namespace) -> str:
@@ -140,7 +142,7 @@ def cmd_run(args) -> int:
                report.sigma_grad_measured)
     columns = {"axis": "%d", "true_gradient": "%.12g", "decoded_mode": "%.12g",
                "success_prob": "%.12g", "sigma_pred": "%.12g", "sigma_meas": "%.12g"}
-    _write_csv(args.out, [_config_comment(args)], columns, rows)
+    _write_csv(args.out, [_config_comment(args)], columns, [rows])
     print(
         f"queries={report.query_count} mode={report.mode_index.tolist()} "
         f"success_prob={report.success_probability:.6f}",
@@ -180,7 +182,7 @@ def _write_sweep(args, column: str, code: str, points) -> int:
         f"benchmark m={args.m:.12g} l={SWEEP_L:.12g} fpp=2*m*alpha/l; sigma in lattice units",
     ]
     columns = {column: code, "sigma_pred": "%.12g", "sigma_meas": "%.12g"}
-    _write_csv(args.out, comments, columns, rows)
+    _write_csv(args.out, comments, columns, [rows])
     return 0
 
 
@@ -205,13 +207,20 @@ def cmd_peak2d(args) -> int:
     else:
         H = (spec.m / spec.N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]])
     f = quadratic([0.0, 0.0], H, c=0.0)
-    # the mask comes first, so a bad slack is rejected before the run
+    # the masks come first, so a bad slack is rejected before the run; they are
+    # taken per block of whole lattice lines and kept whole, 1 B/point each
     pred = stationary_phase_sigma(H, spec)
-    signed = signed_index(lattice_points(spec), spec.N)
-    inside = support_membership(signed, pred, slack=args.slack_cells)
-    inside_outer = support_membership(signed, pred, slack=args.slack_cells_outer)
+    N = spec.N
+    inside = np.empty(spec.size, dtype=bool)
+    inside_outer = np.empty(spec.size, dtype=bool)
+    rows = N * max(1, qsim.BLOCK_POINTS // N)
+    for start in range(0, spec.size, rows):
+        stop = min(start + rows, spec.size)
+        signed = signed_index(lattice_points(spec, start, stop), N)
+        inside[start:stop] = support_membership(signed, pred, slack=args.slack_cells)
+        inside_outer[start:stop] = support_membership(signed, pred, slack=args.slack_cells_outer)
     # the CSV needs only the probabilities: an 8 B/point copy lets the run's
-    # 16 B/point state go before the rows are built
+    # 16 B/point state go before the rows are written
     flat = run_gradient_estimation(f, spec, shots=0, seed=args.seed).distribution.probs.copy()
     mass_inside = float(flat[inside].sum())
     mass_outside = float(flat[~inside_outer].sum())
@@ -222,9 +231,16 @@ def cmd_peak2d(args) -> int:
         f"mass_inside_slack_{args.slack_cells:.12g}={mass_inside:.12g}",
         f"mass_outside_slack_{args.slack_cells_outer:.12g}={mass_outside:.12g}",
     ]
-    rows = zip(signed[:, 0].tolist(), signed[:, 1].tolist(), flat.tolist(), inside.tolist())
+    k = signed_index(np.arange(N), N).tolist()
+
+    def lattice_lines():
+        # the rows of line k1, formatted from slices of the probabilities and the mask
+        for i, k1 in enumerate(k):
+            line = slice(i * N, (i + 1) * N)
+            yield zip(itertools.repeat(k1), k, flat[line].tolist(), inside[line].tolist())
+
     columns = {"k1": "%d", "k2": "%d", "prob": "%.12g", "inside_predicted": "%d"}
-    _write_csv(args.out, comments, columns, rows)
+    _write_csv(args.out, comments, columns, lattice_lines())
     print(
         f"mass_inside={mass_inside:.6f} mass_outside={mass_outside:.6f}",
         file=sys.stderr if args.out == "-" else sys.stdout,
@@ -278,7 +294,7 @@ def cmd_compare_classical(args) -> int:
     ]
     columns = {"method": "%s", "queries": "%d", "err_max": "%.12g", "bits_required": "%.12g",
                "bit_gap": "%s", "slope_fit": "%s"}
-    _write_csv(args.out, comments, columns, rows)
+    _write_csv(args.out, comments, columns, [rows])
     return 0
 
 

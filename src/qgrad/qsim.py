@@ -296,6 +296,21 @@ def _columns(a: np.ndarray) -> None:
     _in_chunks(columns, a.shape[1], a.size)
 
 
+def _twiddles(k1: np.ndarray, j2: np.ndarray, N: int) -> np.ndarray:
+    """exp(-2*pi*i*(k1 x j2 mod N)/N), the outer product's table, built in place.
+
+    The operations of the one expression exp(-2j*pi*(k1[:, None]*j2 % N)/N),
+    in the same order, so the same bits, with at most one int and one
+    complex table alive at a time.
+    """
+    idx = k1[:, None] * j2
+    idx %= N
+    w = np.multiply(-2j * np.pi, idx)
+    del idx
+    w /= N
+    return np.exp(w, out=w)
+
+
 def _four_step(a: np.ndarray, scale: float) -> None:
     """The DFT of the n1*n1-point line held row-major in the square `a`, divided by `scale`, in place.
 
@@ -316,8 +331,8 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     n1 = a.shape[0]
     N = n1 * n1
     j2 = np.arange(n1)
-    hi = np.exp(-2j * np.pi * (64 * np.arange(-(-n1 // 64))[:, None] * j2 % N) / N)
-    lo = np.exp(-2j * np.pi * (np.arange(min(64, n1))[:, None] * j2 % N) / N)
+    hi = _twiddles(64 * np.arange(-(-n1 // 64)), j2, N)
+    lo = _twiddles(np.arange(min(64, n1)), j2, N)
     rows = max(1, BLOCK_POINTS // n1)
 
     def lines(first, last):

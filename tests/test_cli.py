@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrad import ProblemSpec, stationary_phase_sigma, support_membership
-from qgrad import cli
+from qgrad import cli, qsim
 from qgrad.cli import main
 from qgrad.qsim import BLOCK_POINTS
 
@@ -170,6 +171,47 @@ def test_peak2d_zero_hessian_point_mass(tmp_path):
     assert inside0 == "1"
 
 
+def _traced_peak(call) -> int:
+    """tracemalloc peak of call() above the bytes allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak2d_memory_per_point(tmp_path):
+    # the run's 16 B/point state, an 8 B/point copy of the probabilities and two
+    # 1 B/point masks; the rows are formatted one lattice line at a time
+    N = 512
+    out = tmp_path / "peak.csv"
+    peak = _traced_peak(lambda: main(["peak2d", "--N", str(N), "--out", str(out)]))
+    assert peak <= 32 * N * N + 8 * 2 ** 20
+    assert out.stat().st_size > 25 * N * N
+
+
+@pytest.mark.parametrize("N", [40, 300])
+def test_peak2d_does_not_depend_on_the_blocking(tmp_path, monkeypatch, N):
+    # the mask blocks (whole lattice lines, one line at 64 points) and the row blocks
+    # (one line each) must not change a byte, the two mass comments included
+    written = []
+    for block in (64, 4096, 2 ** 16):
+        monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
+        out = tmp_path / f"peak{block}.csv"
+        assert main(["peak2d", "--N", str(N), "--l", "60", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    # the mask column is the membership of the whole signed grid at once
+    comments, _, rows = read_csv(tmp_path / "peak64.csv")
+    assert sum("mass_" in c for c in comments) == 2
+    spec = ProblemSpec(d=2, N=N, n_o=16, l=60.0, m=1.0)
+    pred = stationary_phase_sigma((spec.m / N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]]), spec)
+    k = np.array([[int(r[0]), int(r[1])] for r in rows])
+    assert np.array_equal(np.array([r[3] == "1" for r in rows]), support_membership(k, pred, slack=1.5))
+
+
 # --- compare-classical ---
 
 def test_compare_classical_queries_and_gap(tmp_path):
@@ -195,7 +237,7 @@ def test_write_csv_cell_text(tmp_path):
     flags = [True, False, np.True_, np.int64(7)]
     rows = [(f, flags[i % len(flags)], "") for i, f in enumerate(floats)]
     out = tmp_path / "cells.csv"
-    cli._write_csv(str(out), ["note"], {"x": "%.12g", "n": "%d", "s": "%s"}, rows)
+    cli._write_csv(str(out), ["note"], {"x": "%.12g", "n": "%d", "s": "%s"}, [rows])
     assert out.read_text(encoding="utf-8") == (
         "# note\n"
         "x,n,s\n"

@@ -643,6 +643,18 @@ def test_four_step_agrees_with_pocketfft(monkeypatch, N):
     assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("n1", [257, 300, 2048])
+def test_twiddle_tables_have_the_bits_of_one_expression(n1):
+    # built in place to lower the transform's peak; the rows of `hi` and of `lo`
+    N, j2 = n1 * n1, np.arange(n1)
+    for k1 in (64 * np.arange(-(-n1 // 64)), np.arange(min(64, n1))):
+        expected = np.exp(-2j * np.pi * (k1[:, None] * j2 % N) / N)
+        assert qsim._twiddles(k1, j2, N).tobytes() == expected.tobytes()
+    # one int and one complex table, and numpy's cast buffers
+    entries = -(-n1 // 64) * n1
+    assert _traced_peak(lambda: qsim._twiddles(64 * np.arange(-(-n1 // 64)), j2, N)) <= 24 * entries + 2 ** 18
+
+
 @pytest.mark.parametrize("N", [2, 3, 1000, 200003, STREAMED_CASES[0][0].N, 2 ** 17, BLOCK_POINTS])
 def test_other_lines_stay_on_pocketfft(monkeypatch, N):
     # N not a square, or a square not above the block
