@@ -68,8 +68,8 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
     (pseudo-inverse, so rank-deficient A degenerates to the supported
     subspace), clamps u to the unit cube, and maps the violation back
     through A: membership means the nearest in-region point, measured in
-    lattice cells, is at most `slack` away in max-norm.  The slack must be
-    finite and >= 0.
+    lattice cells, is at most `slack` away in max-norm.  Every k must be
+    finite, and the slack finite and >= 0.
     """
     if not 0 <= slack < np.inf:
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
@@ -77,9 +77,18 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
     pts = np.asarray(k, dtype=float)
     if pts.ndim == 0:
         pts = pts.reshape(1)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"k must be finite, got {pts[~np.isfinite(pts)][0]}")
     u = pts @ np.linalg.pinv(A).T
-    nearest = np.clip(u, -0.5, 0.5) @ A.T
-    return np.asarray(np.max(np.abs(nearest - pts), axis=-1) <= slack + 1e-12)
+    np.clip(u, -0.5, 0.5, out=u)
+    gap = u @ A.T
+    gap -= pts
+    np.abs(gap, out=gap)
+    # the max-norm as a running np.maximum over the columns, in column 0 itself
+    dist = gap[..., 0]
+    for j in range(1, gap.shape[-1]):
+        np.maximum(dist, gap[..., j], out=dist)
+    return np.asarray(dist <= slack + 1e-12)
 
 
 def classical_precision_bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
@@ -93,7 +102,8 @@ def quantum_precision_bits(
 ) -> float:
     """Bits of function precision so every kicked-back phase is within theta.
 
-    Valid for 0 < theta <= 2pi; theta = 2pi is the formal point where the
+    Valid for 0 < theta <= 2pi with 2pi/theta finite, so theta must be at
+    least about 3.5e-308; theta = 2pi is the formal point where the
     requirement coincides with the classical one.
     """
     _check_range(f_max, f_min, m, l, n)
@@ -123,6 +133,8 @@ def _check_range(f_max: float, f_min: float, m: float, l: float, n: float):
 def _check_theta(theta: float):
     if not 0.0 < theta <= 2.0 * math.pi:
         raise ValueError(f"theta must be in (0, 2*pi], got {theta}")
+    if not 2.0 * math.pi / theta < math.inf:
+        raise ValueError(f"theta = {theta} is too small: 2*pi/theta overflows the floats")
 
 
 def success_probability_bound(theta: float) -> float:
@@ -144,7 +156,9 @@ def optimal_l(
 
     D2/D3 are typical magnitudes of second and third partial derivatives; pass
     worst-case values instead for a worst-case width.  sigma and the D needed
-    by the mode must be finite and positive, and d an integer >= 1.
+    by the mode must be finite and positive, d an integer >= 1, and the
+    width they give a positive float: sigma/D2 in quantum mode and
+    sigma/D3 in classical mode must neither overflow nor underflow to 0.
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -154,9 +168,15 @@ def optimal_l(
     if mode == "classical":
         if d3 is None or not 0 < d3 < math.inf:
             raise ValueError(f"classical mode needs a positive finite d3, got {d3}")
-        return 2.0 * math.sqrt(6.0 * sigma / d3)
+        return _width(2.0 * math.sqrt(6.0 * sigma / d3), f"sigma = {sigma} over d3 = {d3}")
     if mode == "quantum":
         if d2 is None or not 0 < d2 < math.inf:
             raise ValueError(f"quantum mode needs a positive finite d2, got {d2}")
-        return 2.0 * math.sqrt(3.0) * sigma / (d2 * math.sqrt(d))
+        return _width(2.0 * math.sqrt(3.0) * sigma / (d2 * math.sqrt(d)), f"sigma = {sigma} over d2 = {d2}")
     raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
+
+
+def _width(l: float, given: str) -> float:
+    if not 0 < l < math.inf:
+        raise ValueError(f"{given} gives the width {l}; it must be positive and finite")
+    return l

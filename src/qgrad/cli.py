@@ -52,22 +52,27 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _write_csv(out: str, comments: list[str], columns: dict[str, str], blocks):
+def _write_csv(out: str, comments: list[str], columns: dict[str, str], blocks=(), *, templated=()):
     """Write comment lines, the header and one line per row of each block of rows.
 
     `columns` maps each column name to its printf code: "%d" (ints, bools as
     1/0), "%.12g" (floats) or "%s" (text).  Each block is formatted with one
     % operation and written before the next block is formatted, so only one
-    block's text is held at a time.
+    block's text is held at a time.  A caller that knows some cells' text
+    in advance passes `templated` in place of `blocks`: pairs (template,
+    values), the template holding a block's lines with that text written in
+    and the columns' codes where the values go, so only the values are
+    converted.
     """
     line = ",".join(columns.values()) + "\n"
     head = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+    cells = (tuple(itertools.chain.from_iterable(rows)) for rows in blocks)
+    rows_text = ((line * (len(values) // len(columns)), values) for values in cells)
     with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="utf-8", newline="")) as fh:
         fh.write(head)
-        for rows in blocks:
-            cells = tuple(itertools.chain.from_iterable(rows))
-            fh.write((line * (len(cells) // len(columns))) % cells)
+        for template, values in itertools.chain(rows_text, templated):
+            fh.write(template % values)
 
 
 def _config_comment(args: argparse.Namespace) -> str:
@@ -231,16 +236,20 @@ def cmd_peak2d(args) -> int:
         f"mass_inside_slack_{args.slack_cells:.12g}={mass_inside:.12g}",
         f"mass_outside_slack_{args.slack_cells_outer:.12g}={mass_outside:.12g}",
     ]
+    # each row's k1, k2 and mask text is written into its line's template, so
+    # only the probabilities are converted: "%.12g" once per row
     k = signed_index(np.arange(N), N).tolist()
+    pieces = [np.array([f"{k2},%.12g,{flag}\n" for k2 in k], dtype=object) for flag in (0, 1)]
 
     def lattice_lines():
-        # the rows of line k1, formatted from slices of the probabilities and the mask
         for i, k1 in enumerate(k):
             line = slice(i * N, (i + 1) * N)
-            yield zip(itertools.repeat(k1), k, flat[line].tolist(), inside[line].tolist())
+            start = f"{k1},"
+            template = start + start.join(np.where(inside[line], pieces[1], pieces[0]).tolist())
+            yield template, tuple(flat[line].tolist())
 
     columns = {"k1": "%d", "k2": "%d", "prob": "%.12g", "inside_predicted": "%d"}
-    _write_csv(args.out, comments, columns, lattice_lines())
+    _write_csv(args.out, comments, columns, templated=lattice_lines())
     print(
         f"mass_inside={mass_inside:.6f} mass_outside={mass_outside:.6f}",
         file=sys.stderr if args.out == "-" else sys.stdout,

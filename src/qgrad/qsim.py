@@ -19,7 +19,8 @@ axes: its blocks are enumerated, and its line transformed, by the same code.
 Every pass that splits its work does so by one rule, in `_in_chunks`: at
 most one contiguous chunk per usable core (`_WORKERS`), and no chunk with
 less than BLOCK_POINTS points of work, a pass's work being its points (times
-its axes, in a transform).  The calling thread runs the first chunk and a
+its axes, in a transform).  A pass of one chunk runs on the calling thread
+alone.  Otherwise the calling thread runs the first chunk and a
 `ThreadPoolExecutor` made for the call runs the others; its threads are all
 joined before the call returns.  numpy releases the GIL in that work, and
 each chunk does exactly what the serial code does there, so the bits do not
@@ -80,9 +81,10 @@ def _in_chunks(task, n: int, work: int) -> list:
 
     The one split rule: min(_WORKERS, n, ceil(work / BLOCK_POINTS)) chunks,
     `work` being the pass's points (times its axes, in a transform), so no
-    worker gets less than a block of work.  Chunk 0 runs on the calling
-    thread, the others on a `ThreadPoolExecutor` made for the call, which
-    starts no thread for a single chunk and joins its threads before
+    worker gets less than a block of work.  A single chunk, as every pass
+    of a one-block run is, is a plain call of task(0, n) with no executor
+    made.  Otherwise chunk 0 runs on the calling thread, the others on a
+    `ThreadPoolExecutor` made for the call, which joins its threads before
     anything is returned or raised: no thread outlives the call, a task may
     call back into this function, and a forked child starts threads of its
     own.  The exception raised is the first failing chunk's.  If a thread
@@ -90,6 +92,8 @@ def _in_chunks(task, n: int, work: int) -> list:
     queued chunks before the start error is raised.
     """
     chunks = min(_WORKERS, n, -(-work // BLOCK_POINTS))
+    if chunks == 1:
+        return [task(0, n)]
     bounds = [n * i // chunks for i in range(chunks + 1)]
     with ThreadPoolExecutor(_WORKERS, thread_name_prefix="qgrad") as pool:
         rest = pool.map(task, bounds[1:-1], bounds[2:])
@@ -474,7 +478,8 @@ def _weights(probs) -> tuple[np.ndarray, int, float]:
     w = np.asarray(probs, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"weights have shape {w.shape}, expected (N,) with N >= 1")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = float(w.sum())
     if not (np.isfinite(total) and total != 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite nonzero sum")
     return w, w.size, total

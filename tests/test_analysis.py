@@ -1,5 +1,6 @@
 """Tests for the analytic predictors: peak widths, support geometry, precision bits."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,30 @@ def test_membership_rejects_unusable_slack():
             support_membership([0.0, 0.0], pred, slack=slack)
 
 
+def test_membership_rejects_k_that_is_not_finite():
+    # inf once warned "invalid value encountered in matmul", nan gave False
+    pred = stationary_phase_sigma(0.01 * np.eye(2), spec_for(d=2))
+    for k in ([[np.inf, 0.0]], [[np.nan, 0.0]], [[0.0, 0.0], [1.0, -np.inf]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="k must be finite") as info:
+                support_membership(k, pred, slack=1.5)
+        assert "\n" not in str(info.value)
+
+
+def test_membership_masks_equal_the_max_of_the_distances():
+    # the running column maximum gives the bits of a max over the last axis
+    spec = ProblemSpec(d=3, N=32, n_o=8, l=40.0, m=1.0)
+    pred = stationary_phase_sigma(np.array([[0.02, 0.01, 0.0], [0.01, -0.03, 0.005], [0.0, 0.005, 0.01]]), spec)
+    k = np.random.default_rng(5).uniform(-16, 16, size=(4000, 3))
+    A = pred.support_matrix
+    nearest = np.clip(k @ np.linalg.pinv(A).T, -0.5, 0.5) @ A.T
+    for slack in (0.0, 0.5, 1.5, 3.0):
+        expected = np.max(np.abs(nearest - k), axis=-1) <= slack + 1e-12
+        assert np.array_equal(support_membership(k, pred, slack=slack), expected)
+        assert 0 < expected.sum() < len(k)
+
+
 # --- precision budgets ---
 
 def test_classical_bits_unit_case():
@@ -246,6 +271,13 @@ def test_precision_bits_of_finite_inputs_whose_intermediates_overflow():
         math.log2(1e308) + 1 + 2000 - 2 * math.log2(1e-300) + 4)
 
 
+def test_quantum_bits_reject_theta_whose_reciprocal_overflows():
+    # 2*pi/theta was inf, and so was the answer
+    with pytest.raises(ValueError, match="theta"):
+        quantum_precision_bits(2, 1, 1, 1, 4, theta=5e-324)
+    assert math.isfinite(quantum_precision_bits(2, 1, 1, 1, 4, theta=2 * math.pi / 1.7e308))
+
+
 # --- success bound and optimal width ---
 
 def test_success_bound_values():
@@ -298,6 +330,19 @@ def test_optimal_width_rejects_non_finite_and_non_integer_inputs():
     for d in (0, -3):
         with pytest.raises(ValueError, match="d must be >= 1"):
             optimal_l(0.1, d2=1.0, d=d, mode="quantum")
+
+
+@pytest.mark.parametrize("args,names", [
+    ((1.0, 5e-324), "sigma = 1.0 over d2 = 5e-324"),
+    ((1e308, 1.0), "sigma = 1e+308 over d2 = 1.0"),
+    ((1.0, None, 5e-324, 1, "classical"), "sigma = 1.0 over d3 = 5e-324"),
+    ((1e-300, 1e300), "sigma = 1e-300 over d2 = 1e+300"),
+])
+def test_optimal_width_rejects_a_width_beyond_the_floats(args, names):
+    # finite inputs whose width overflowed to inf, or underflowed to 0.0
+    with pytest.raises(ValueError, match="positive and finite") as info:
+        optimal_l(*args)
+    assert str(info.value).startswith(names)
 
 
 # --- stationary-phase normalization sanity against simulation ---

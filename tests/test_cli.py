@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrad import ProblemSpec, stationary_phase_sigma, support_membership
+from qgrad import (
+    ProblemSpec,
+    lattice_points,
+    quadratic,
+    run_gradient_estimation,
+    signed_index,
+    stationary_phase_sigma,
+    support_membership,
+)
 from qgrad import cli, qsim
 from qgrad.cli import main
 from qgrad.qsim import BLOCK_POINTS
@@ -210,6 +218,28 @@ def test_peak2d_does_not_depend_on_the_blocking(tmp_path, monkeypatch, N):
     pred = stationary_phase_sigma((spec.m / N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]]), spec)
     k = np.array([[int(r[0]), int(r[1])] for r in rows])
     assert np.array_equal(np.array([r[3] == "1" for r in rows]), support_membership(k, pred, slack=1.5))
+
+
+@pytest.mark.parametrize("N", [17, 33])
+@pytest.mark.parametrize("hessian", [None, "0,0,0,0", "0.01,0.006,0.006,-0.01"],
+                         ids=["default", "mask-mostly-0", "mask-mostly-1"])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+def test_peak2d_rows_equal_row_by_row_formatting(tmp_path, capsys, N, hessian, to_stdout):
+    # the per-line templates hold the k1, k2 and mask text; every byte must read as
+    # the generic "%d,%d,%.12g,%d" of each row's values
+    out = "-" if to_stdout else str(tmp_path / "peak.csv")
+    argv = ["peak2d", "--N", str(N), "--out", out] + ([] if hessian is None else ["--hessian", hessian])
+    assert main(argv) == 0
+    text = capsys.readouterr().out if to_stdout else Path(out).read_text(encoding="utf-8")
+    spec = ProblemSpec(d=2, N=N, n_o=16, l=100.0, m=1.0)
+    H = ((spec.m / N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]]) if hessian is None
+         else np.array([float(h) for h in hessian.split(",")]).reshape(2, 2))
+    probs = run_gradient_estimation(quadratic([0.0, 0.0], H), spec, shots=0, seed=0).distribution.probs
+    signed = signed_index(lattice_points(spec), N)
+    inside = support_membership(signed, stationary_phase_sigma(H, spec), slack=1.5)
+    rows = ["%d,%d,%.12g,%d\n" % (k1, k2, p, flag)
+            for (k1, k2), p, flag in zip(signed.tolist(), probs.tolist(), inside.tolist())]
+    assert text.split("k1,k2,prob,inside_predicted\n")[1].splitlines(keepends=True) == rows
 
 
 # --- compare-classical ---

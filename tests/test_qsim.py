@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -404,6 +405,16 @@ def test_a_one_block_lattice_stays_on_the_calling_thread(monkeypatch, tmp_path):
     fourier_transform(build_phase_state(quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]]), d2))
     for argv in (["run", "--d", "2", "--N", "128"], ["peak2d", "--N", "256"]):
         assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == 0, argv
+
+
+def test_a_single_chunk_makes_no_executor(monkeypatch, tmp_path):
+    # every pass of a one-block run is one chunk: a plain call on the calling thread
+    monkeypatch.setattr(qsim, "ThreadPoolExecutor", NoThread)
+    monkeypatch.setattr(qsim, "_WORKERS", 2)
+    report = run_gradient_estimation(quadratic([0.1], [[0.4]]), ProblemSpec(d=1, N=BLOCK_POINTS, n_o=12, l=1.0, m=1.0),
+                                     shots=10)
+    assert report.samples.shape == (10, 1)
+    assert cli.main(["run", "--d", "2", "--N", "128", "--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_a_pass_splits_by_its_work(monkeypatch):
@@ -916,6 +927,15 @@ def test_circular_stats_reject_unusable_weights():
     for mean in (2.0 ** 60, -2.0 ** 60, np.inf, np.nan):
         with pytest.raises(ValueError, match="mean"):
             circular_variance(point, mean)
+
+
+def test_circular_stats_raise_only_their_own_error_on_an_overflowing_sum():
+    # the sum of the weights once warned "overflow encountered in reduce" first
+    for stat in (circular_mean, lambda w: circular_variance(w, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights sum to inf"):
+                stat(np.full(4, 1e308))
 
 
 def test_circular_stats_straddle_the_wrap():
