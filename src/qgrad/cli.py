@@ -5,7 +5,8 @@ Subcommands
     sweep-n            peak width vs lattice size at fixed curvature alpha
     sweep-alpha        peak width vs curvature at fixed lattice size
     peak2d             full 2D outcome distribution with predicted-region mask
-    compare-classical  query counts, achieved error, precision bits per method
+    compare-classical  query counts, achieved error, precision bits per method;
+                       the bits take f's range from the run's one walk of f
 
 Every CSV starts with comment lines recording the full configuration and the
 tool version; identical flags and seed produce byte-identical files.  Each
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -37,7 +39,9 @@ from .analysis import (
 )
 from .classical import central_difference, error_scaling_fit, forward_difference
 from .core import MAX_POINTS, ProblemSpec, _shown, lattice_points, signed_index
-from .functions import cubic_1d, linear, quadratic, scanned_range, sinusoid
+# compare-classical takes f's range from its run, so nothing here calls
+# scanned_range; it stays imported because perfbench/tracing.py wraps cli.scanned_range
+from .functions import cubic_1d, linear, quadratic, scanned_range, sinusoid  # noqa: F401
 from .qsim import run_gradient_estimation
 
 # the catalog builders `--function` may name
@@ -270,13 +274,14 @@ def cmd_compare_classical(args) -> int:
     f = quadratic(g, H, c=0.0)
     true = f.grad(spec.x0)
 
-    _check_theta(args.theta)  # before the scan and the run, which take the most time
-    f_min, f_max = scanned_range(f, spec)
+    _check_theta(args.theta)  # before the run, which takes the most time
+    report = run_gradient_estimation(f, spec, shots=0, seed=args.seed)
+    # the range of f over the lattice, from the run's one walk of f
+    f_min, f_max = report.value_range
     n_bits_out = math.log2(spec.N)
     bits_classical = classical_precision_bits(f_max, f_min, spec.m, spec.l, n_bits_out)
     bits_quantum = quantum_precision_bits(f_max, f_min, spec.m, spec.l, n_bits_out, args.theta)
 
-    report = run_gradient_estimation(f, spec, shots=0, seed=args.seed)
     fwd = forward_difference(f, spec.x0, spec.l)
     ctr = central_difference(f, spec.x0, spec.l)
 
@@ -345,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--amplitude", type=float, default=1.0, help="sinusoid amplitude")
     run.add_argument("--wavevector", type=_float_list, default=[1.0], help="sinusoid wavevector")
     run.add_argument("--shots", type=int, default=1000, help="measurement samples (0 to skip)")
-    run.set_defaults(handler=cmd_run)
+    run.set_defaults(handler="cmd_run")
 
     sweep_n = sub.add_parser("sweep-n", help="peak width vs lattice size at fixed alpha")
     sweep_n.add_argument("--alpha", type=float, default=0.02, help="curvature (l/2m)*f''")
     sweep_n.add_argument("--N", type=_int_list, default=[16, 32, 64, 128, 256],
                          help="comma-separated lattice sizes")
     _add_shared(sweep_n)
-    sweep_n.set_defaults(handler=cmd_sweep_n)
+    sweep_n.set_defaults(handler="cmd_sweep_n")
 
     sweep_a = sub.add_parser("sweep-alpha", help="peak width vs curvature at fixed N")
     sweep_a.add_argument("--alpha", type=_float_list,
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated curvatures")
     sweep_a.add_argument("--N", type=int, default=80, help="lattice size")
     _add_shared(sweep_a)
-    sweep_a.set_defaults(handler=cmd_sweep_alpha)
+    sweep_a.set_defaults(handler="cmd_sweep_alpha")
 
     peak = sub.add_parser("peak2d", help="2D outcome distribution and predicted region")
     _add_common(peak, l_default=100.0)
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="membership slack, lattice cells")
     peak.add_argument("--slack-cells-outer", type=float, default=3.0,
                       help="outer slack for the leakage mass")
-    peak.set_defaults(handler=cmd_peak2d)
+    peak.set_defaults(handler="cmd_peak2d")
 
     cmp_p = sub.add_parser("compare-classical", help="query counts, errors, precision bits")
     _add_common(cmp_p, l_default=0.1, n_default=16)
@@ -378,15 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--x0", type=_float_list, default=None)
     cmp_p.add_argument("--theta", type=float, default=math.pi / 8,
                        help="per-point phase accuracy target")
-    cmp_p.set_defaults(handler=cmd_compare_classical)
+    cmp_p.set_defaults(handler="cmd_compare_classical")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process.
+
+    It holds each subcommand's handler by name, and `main` looks the name up
+    in this module when it runs, so a handler replaced after the parser was
+    built is the one called.  No handler changes `args` or a default list.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

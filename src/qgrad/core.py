@@ -99,7 +99,7 @@ class ProblemSpec:
         x0 = np.zeros(self.d) if self.x0 is None else np.array(self.x0, dtype=float)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
-        if not np.all(np.isfinite(x0)):
+        if not np.isfinite(x0).all():
             raise ValueError(f"x0 must be finite, got {x0.tolist()}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
@@ -160,9 +160,13 @@ def _symmetric(H, d: int) -> np.ndarray:
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape != (d, d):
         raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise ValueError(f"H must be finite, got {H.tolist()}")
-    if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
+    # np.allclose's test for finite entries, |H - H^T| <= atol + rtol*|H^T|,
+    # without its generic setup; a difference past the floats is not close
+    with np.errstate(over="ignore"):
+        close = np.abs(H - H.T) <= 1e-12 + 1e-12 * np.abs(H.T)
+    if not close.all():
         raise ValueError("H must be symmetric")
     return H
 
@@ -188,7 +192,7 @@ def _index_array(values, spec: ProblemSpec, what: str) -> np.ndarray:
         raise ValueError(f"{what} must have last axis of length d={spec.d}, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
-    if np.any(arr < 0) or np.any(arr >= spec.N):
+    if arr.size and (arr.min() < 0 or arr.max() >= spec.N):
         raise ValueError(f"{what} components must lie in [0, {spec.N})")
     return arr
 
@@ -239,9 +243,23 @@ def quantize_output(f_val, spec: ProblemSpec):
 
 
 def signed_index(k, N: int) -> np.ndarray:
-    """Centered representative of k mod N: k if k < N/2, else k - N."""
+    """Centered representative of k mod N: k if k < N/2, else k - N.
+
+    N must be an integer in [1, 2**63) and a float k finite; integer k is
+    taken as it is, with no check of each entry.
+    """
+    N = _integer("N", N)
+    if not 1 <= N < 2 ** 63:
+        raise ValueError(f"N must lie in [1, 2**63), got {_shown(N)}")
     arr = np.asarray(k)
+    _check_finite("k", arr)
     return np.where(arr < N / 2.0, arr, arr - N)
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    """Raise ValueError naming `name` if the float or complex `arr` holds inf or nan."""
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
 
 
 def decode_outcome(k, spec: ProblemSpec) -> np.ndarray:
@@ -267,7 +285,7 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
         raise ValueError(f"gradient must have last axis of length d={spec.d}")
     with np.errstate(over="ignore"):
         scaled = spec.N * g / spec.m
-    if not np.all(np.abs(scaled) < 2.0 ** 63):
+    if not (np.abs(scaled) < 2.0 ** 63).all():
         raise ValueError(f"N*g/m must be finite and below 2**63 in magnitude, got gradient {g.tolist()}")
     # ties toward -inf: the negated round-half-up of the negated value
     return -_round_half_up(-scaled) % spec.N

@@ -67,7 +67,7 @@ def _catalog(name: str, d: int, ev, gr, he) -> TestFunction:
 def _finite(name: str, value) -> np.ndarray:
     """`value` as a float array, after checking that it is finite."""
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr.tolist()}")
     return arr
 
@@ -218,9 +218,6 @@ def scanned_range(fn: TestFunction, spec: ProblemSpec):
     threads and all, so `eval` is held to the same contract.  A NaN value
     gives NaN bounds.
     """
-    from .qsim import _walk  # qsim imports this module
+    from .qsim import _value_range, _walk  # qsim imports this module
 
-    runs = _walk(fn, spec, lambda blocks: [(v.min(), v.max()) for _, _, v in blocks])
-    # numpy's min and max keep a block's NaN, where Python's min(inf, nan) drops it
-    bounds = np.array([bound for run in runs for bound in run])
-    return float(np.min(bounds[:, 0])), float(np.max(bounds[:, 1]))
+    return _value_range(_walk(fn, spec, lambda blocks: [(v.min(), v.max()) for _, _, v in blocks]))

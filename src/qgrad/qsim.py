@@ -12,7 +12,9 @@ grid, which is what makes the estimator a single-query algorithm at any d.
 row-major blocks that never straddle a line end, so the state is the only
 lattice-sized array of the build; the phases come from a table of the N_o
 register values only when that table is smaller than the lattice and no
-larger than a block.  A grid holds its amplitudes or probabilities as one
+larger than a block.  The walk also gives the range of f it saw, which the
+grid and the run's report carry as `value_range`, so no caller needs a
+second walk for it.  A grid holds its amplitudes or probabilities as one
 C-contiguous flat array.  A d = 1 lattice is the d >= 2 one with no leading
 axes: its blocks are enumerated, and its line transformed, by the same code.
 
@@ -38,6 +40,7 @@ own buffer.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +51,9 @@ import numpy as np
 
 from .core import (
     ProblemSpec,
+    _check_finite,
     _integer,
+    _real,
     _shown,
     decode_outcome,
     encode_input,
@@ -109,10 +114,16 @@ def _flat(values, spec: ProblemSpec, dtype, what: str) -> np.ndarray:
 
 @dataclass
 class AmplitudeGrid:
-    """Complex amplitude field over the lattice of `spec`, flat row-major order."""
+    """Complex amplitude field over the lattice of `spec`, flat row-major order.
+
+    value_range is (min, max) of f over the lattice when the grid comes from
+    `build_phase_state`, and None otherwise.  `replace` carries it, so the
+    transform and `apply_phase_error` keep it.
+    """
 
     spec: ProblemSpec
     amps: np.ndarray
+    value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.amps = _flat(self.amps, self.spec, complex, "amps")
@@ -161,11 +172,13 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     give each point's value from that point alone, not from the rest of
     the batch.  The 2**53 limit of `fixed_point` is checked block by
     block, and an error reports the min and max of the first offending block
-    in row order.  When N_o < N^d and N_o <= BLOCK_POINTS the phases are
-    looked up in a table of the N_o register values, never larger than a
-    block; the table holds the same expression, so both ways give the same
-    amplitudes to the bit.  The state, one C-contiguous array of 16 bytes
-    per point, is the only lattice-sized array built.
+    in row order.  The grid's value_range is the min and max of the values
+    f gave, the numbers `functions.scanned_range` finds.  When N_o < N^d
+    and N_o <= BLOCK_POINTS the phases are looked up in a table of the N_o
+    register values, never larger than a block; the table holds the same
+    expression, so both ways give the same amplitudes to the bit.  The
+    state, one C-contiguous array of 16 bytes per point, is the only
+    lattice-sized array built.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
@@ -174,7 +187,9 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
         table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
 
     def fill(blocks):
+        bounds = []
         for start, stop, values in blocks:
+            bounds.append((values.min(), values.max()))
             g = quantize_output(values, spec)
             del values  # not held through the phase step, whose peak would count it
             if table is None:
@@ -182,9 +197,18 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
             else:
                 np.take(table, g, out=amps[start:stop])
             del g  # nor through the next block's points and values
+        return bounds
 
-    _walk(f, spec, fill)
-    return AmplitudeGrid(spec, amps)
+    return AmplitudeGrid(spec, amps, _value_range(_walk(f, spec, fill)))
+
+
+def _value_range(runs: list) -> tuple[float, float]:
+    """(min, max) over the (min, max) pairs of every block of `_walk`'s runs.
+
+    numpy's min and max keep a block's NaN, where Python's min(inf, nan) drops it.
+    """
+    bounds = np.array([bound for run in runs for bound in run])
+    return float(bounds[:, 0].min()), float(bounds[:, 1].max())
 
 
 def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
@@ -233,12 +257,15 @@ def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
     coordinate changes, through the same w values start % N + arange(w).
     encode_input maps each column on its own, so the block is its encoded
     heads, each repeated w times, with the last column written over by the
-    encoded run.  At d = 1 the one head is the run's first row.
+    encoded run.  At d = 1 the block is the encoded run itself.
     """
     N, d = spec.N, spec.d
     w = min(N, stop - start)
+    run = (start % N + np.arange(w))[:, None]
+    if d == 1:
+        return encode_input(run, spec)
     # the run first: its index temporaries are freed before the block is allocated
-    run = encode_input(np.broadcast_to((start % N + np.arange(w))[:, None], (w, d)), spec)[:, -1]
+    run = encode_input(np.broadcast_to(run, (w, d)), spec)[:, -1]
     points = np.repeat(encode_input(lattice_points(spec, start, stop, step=w), spec), w, axis=0)
     points.reshape(-1, w, d)[:, :, -1] = run
     return points
@@ -469,8 +496,17 @@ def _block_cdf(probs: np.ndarray, start: int, total: float, carry: float, buffer
 
 
 def wrap_signed(delta_k, N: int) -> np.ndarray:
-    """Signed shorter-arc difference on the period-N lattice."""
-    return (np.asarray(delta_k, dtype=float) + N / 2.0) % N - N / 2.0
+    """Signed shorter-arc difference on the period-N lattice.
+
+    N must be a positive finite real, and a float delta_k finite; integer
+    delta_k is taken as it is, with no check of each entry.
+    """
+    N = _real("N", N)
+    if not 0 < N < np.inf:
+        raise ValueError(f"N must be positive and finite, got {N}")
+    raw = np.asarray(delta_k)
+    _check_finite("delta_k", raw)
+    return (np.asarray(raw, dtype=float) + N / 2.0) % N - N / 2.0
 
 
 def _weights(probs) -> tuple[np.ndarray, int, float]:
@@ -497,13 +533,27 @@ def _resultant(w: np.ndarray, N: int) -> complex:
     for a short while after it returns, and on a 2-core machine the allocating
     numpy calls that followed it (sampling, in a run) ran up to twice as slow.
     """
+    B, R, inner, outer, tail = _roots(N)
+    rows = np.einsum("rj,cj->rc", w[: R * B].reshape(R, B), inner)
+    return complex((outer * (rows[:, 0] + 1j * rows[:, 1])).sum() + (w[R * B:] * tail).sum())
+
+
+# bounded: a process keeps the tables of its last 128 lattice sizes, about
+# 17 MB at most (N = 2**24), and a sweep over up to 128 sizes builds each once
+@functools.lru_cache(maxsize=128)
+def _roots(N: int) -> tuple:
+    """`_resultant`'s B, R and read-only tables for N: the inner cos and sin
+    rows, the outer roots and the tail's roots, at most 48*sqrt(N) bytes.
+
+    The tables are read-only: every call with this N shares them."""
     B = math.isqrt(N)
     R = N // B
     ang = 2.0 * np.pi * np.arange(B) / N
-    rows = np.einsum("rj,cj->rc", w[: R * B].reshape(R, B), np.vstack((np.cos(ang), np.sin(ang))))
-    outer = np.exp(2j * np.pi * B * np.arange(R) / N)
-    tail = np.exp(2j * np.pi * np.arange(R * B, N) / N)
-    return complex(np.sum(outer * (rows[:, 0] + 1j * rows[:, 1])) + np.sum(w[R * B:] * tail))
+    tables = (np.vstack((np.cos(ang), np.sin(ang))), np.exp(2j * np.pi * B * np.arange(R) / N),
+              np.exp(2j * np.pi * np.arange(R * B, N) / N))
+    for table in tables:
+        table.flags.writeable = False
+    return (B, R, *tables)
 
 
 def circular_mean(probs) -> float:
@@ -570,6 +620,8 @@ class GradientEstimationReport:
     view of the first N**d * 8 bytes of the complex128 state (16 bytes per
     point), which lives as long as the report holds the distribution.
     query_count is the class constant 1: the build's blocks are one superposed query.
+    value_range is the (min, max) of f over the lattice that query saw, the
+    grid's `value_range`.
     """
 
     spec: ProblemSpec
@@ -582,6 +634,7 @@ class GradientEstimationReport:
     samples: np.ndarray
     circular_mean_k: np.ndarray
     circular_variance_k: np.ndarray
+    value_range: tuple[float, float]
     query_count: ClassVar[int] = 1
 
     @property
@@ -606,7 +659,7 @@ def run_gradient_estimation(
         raise ValueError(f"shots must be >= 0, got {_shown(shots)}")
     seed = _seed(seed)
     _check_d(f, spec)
-    true_gradient = np.atleast_1d(np.asarray(f.grad(spec.x0), dtype=float)).reshape(spec.d)
+    true_gradient = np.asarray(f.grad(spec.x0), dtype=float).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
     # the run owns its state: the transform, the probabilities and the
     # statistics all work in the one buffer the build fills
@@ -617,7 +670,7 @@ def run_gradient_estimation(
     flat_mode = int(np.argmax(dist.probs))
     mode_index = np.array(np.unravel_index(flat_mode, spec.shape))
     success_probability = 0.0
-    if np.all(true_gradient >= -spec.m / 2.0) and np.all(true_gradient < spec.m / 2.0):
+    if ((true_gradient >= -spec.m / 2.0) & (true_gradient < spec.m / 2.0)).all():
         success_probability = float(dist.probs[np.ravel_multi_index(tuple(success_index), spec.shape)])
 
     means = np.empty(spec.d)
@@ -646,6 +699,7 @@ def run_gradient_estimation(
         samples=draws,
         circular_mean_k=means,
         circular_variance_k=variances,
+        value_range=grid.value_range,
     )
 
 

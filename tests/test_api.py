@@ -58,12 +58,12 @@ SIGNATURES = {
 DATACLASSES = {
     "ProblemSpec": (["d", "N", "n_o", "l", "m", "x0"], ["N_o", "shape", "size"]),
     "TestFunction": (["name", "d", "eval", "grad", "hess"], []),
-    "AmplitudeGrid": (["spec", "amps"], ["reshaped"]),
+    "AmplitudeGrid": (["spec", "amps", "value_range"], ["reshaped"]),
     "OutcomeDistribution": (["spec", "probs"], ["marginal", "reshaped"]),
     "GradientEstimationReport": (
         ["spec", "mode_index", "mode_gradient", "true_gradient", "success_index",
          "success_probability", "distribution", "samples", "circular_mean_k",
-         "circular_variance_k"],
+         "circular_variance_k", "value_range"],
         ["query_count", "sigma_grad_measured", "sigma_k_measured"],
     ),
     "ClassicalReport": (["gradient_estimate", "queries"], []),
@@ -90,7 +90,7 @@ def test_single_form_types_are_pinned():
     # a function is its callbacks, with no declared range and no call shortcut
     assert [f.name for f in fields(qgrad.TestFunction)] == ["name", "d", "eval", "grad", "hess"]
     assert "__call__" not in vars(qgrad.TestFunction)
-    assert [f.name for f in fields(qgrad.AmplitudeGrid)] == ["spec", "amps"]
+    assert [f.name for f in fields(qgrad.AmplitudeGrid)] == ["spec", "amps", "value_range"]
     # forward only; `in_place` is keyword-only
     params = inspect.signature(qgrad.fourier_transform).parameters
     assert [(p.name, p.kind) for p in params.values()] == [

@@ -1,6 +1,7 @@
 """Tests for the CSV experiment runner: columns, determinism, exit codes."""
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import os
@@ -27,6 +28,7 @@ from qgrad import (
 from qgrad import cli, qsim
 from qgrad.cli import main
 from qgrad.qsim import BLOCK_POINTS
+from test_cli_golden import GOLDEN
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -474,7 +476,8 @@ def test_values_beyond_the_floats(tmp_path, capsys):
     cases = [
         (["run", "--function", "sinusoid", "--amplitude", "1e308", "--wavevector", "2"], "N*g/m must be finite"),
         (["run", "--function", "cubic_1d", "--x0", "1e308"], "N*g/m must be finite"),
-        (["compare-classical", "--x0", "1e308,1,0.1"], "f_max, f_min and n must be finite"),
+        # the run comes before the precision bits, which take the range it saw
+        (["compare-classical", "--x0", "1e308,1,0.1"], "N*g/m must be finite"),
         (["compare-classical", "--N", "2", "--n-o", "3", "--m", "100", "--l", "1e-308"],
          "m = 100.0 and l = 1e-308 give the benchmark curvature"),
         (["peak2d", "--n-bits", "2", "--l", "0.1", "--hessian", "0.02,0,5e-324,1e308"], "N*N_o*f/(m*l) must be finite"),
@@ -512,6 +515,45 @@ def test_compare_classical_rejects_bad_theta_before_the_run(tmp_path, monkeypatc
         out = tmp_path / "c.csv"
         assert main(["compare-classical", "--d", "2", "--N", "8", "--theta", theta, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["compare-classical", "compare-classical-line-blocks",
+                                  "compare-classical-line-segments"])
+def test_compare_classical_walks_f_once(tmp_path, monkeypatch, name):
+    # the precision bits take the range of f from the run, so f is walked once and
+    # the CSV keeps the bytes it had when a scan of its own gave the range
+    def no_scan(*args, **kwargs):
+        raise AssertionError("compare-classical scanned f outside its run")
+
+    walks = []
+    walk = qsim._walk
+    monkeypatch.setattr("qgrad.cli.scanned_range", no_scan)
+    monkeypatch.setattr(qsim, "_walk", lambda *args: walks.append(args) or walk(*args))
+    argv, digest = GOLDEN[name]
+    out = tmp_path / "c.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert len(walks) == 1
+
+
+def test_one_parser_serves_every_call_and_looks_its_handler_up(tmp_path, monkeypatch):
+    # main builds its parser once per process; each call still finds the subcommand's
+    # handler in the module, so one replaced after the first call is the one that runs
+    def digest(name):
+        argv, expected = GOLDEN[name]
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+    assert digest("sweep-n") and digest("peak2d") and digest("run") and digest("sweep-n")
+    assert cli._parser() is cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_peak2d", lambda args: calls.append(args.N) or 0)
+    out = tmp_path / "p.csv"
+    assert main(["peak2d", "--N", "12", "--out", str(out)]) == 0
+    assert calls == [12] and not out.exists()
+    monkeypatch.undo()
+    assert digest("peak2d") and digest("compare-classical")
 
 
 def test_huge_n_bits_exits_2_before_the_power(tmp_path, capsys):

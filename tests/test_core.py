@@ -13,8 +13,9 @@ from qgrad import (
     nearest_lattice_index,
     quadratic,
     quantize_output,
+    signed_index,
 )
-from qgrad.core import _round_half_up
+from qgrad.core import _round_half_up, _symmetric
 
 
 def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
@@ -201,6 +202,66 @@ def test_signed_round_trip(N):
     for k_signed in range(lo, hi + 1):
         g = decode_outcome([k_signed % N], spec)
         assert _round_half_up(spec.N * g[0] / spec.m) == k_signed
+
+
+@pytest.mark.parametrize("k,N,message", [
+    (np.inf, 8, "k must be finite, got inf"),
+    (np.array([1.0, np.nan]), 8, "k must be finite, got nan"),
+    (3, 2 ** 63, "N must lie in [1, 2**63)"),
+    (3, 0, "N must lie in [1, 2**63), got 0"),
+    (3, 8.0, "N must be an integer"),
+])
+def test_signed_index_rejects_what_it_cannot_center(k, N, message):
+    # a one-line ValueError that names the argument, and no numpy warning or OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            signed_index(k, N)
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_signed_index_takes_integers_without_an_entry_check(monkeypatch):
+    # decode_outcome and peak2d pass integer outcomes, which need no finiteness check
+    def no_check(*args, **kwargs):
+        raise AssertionError("integer input paid a finiteness check")
+
+    spec = spec_1d(N=8, m=2.0)
+    monkeypatch.setattr(np, "isfinite", no_check)
+    assert signed_index(np.arange(8), 8).tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert decode_outcome([5], spec).tolist() == [-0.75]
+
+
+# --- symmetry of a Hessian ---
+
+def _allclose_symmetric(H) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.allclose(H, H.T, rtol=1e-12, atol=1e-12))
+
+
+def test_symmetry_check_accepts_exactly_what_allclose_accepts():
+    # off-diagonal pairs at and around the tolerance edge |a - b| = atol + rtol*|b|,
+    # with signed zeros, subnormals, huge entries and differences beyond the floats
+    bases = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-13, 1e-12, 1.0, -1.0, 3.7e5, 1e300, 1e308, -1e308]
+    pairs = []
+    for b in bases:
+        edge = b + (1e-12 + 1e-12 * abs(b))
+        for a in (b, -b, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), -edge):
+            pairs += [(a, b), (b, a)]
+    pairs += [(1e308, -1e308), (1.7976931348623157e308, -1.7976931348623157e308)]
+    accepted = rejected = 0
+    for a, b in pairs:
+        H = np.array([[1.0, a], [b, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                _symmetric(H, 2)
+                ok = True
+            except ValueError as exc:
+                assert str(exc) == "H must be symmetric"
+                ok = False
+        assert ok == _allclose_symmetric(H), (a, b)
+        accepted, rejected = accepted + ok, rejected + (not ok)
+    assert accepted and rejected
 
 
 # --- nearest representable frequency (success definition) ---

@@ -23,6 +23,7 @@ from qgrad import (
     circular_mean,
     circular_variance,
     cli,
+    cubic_1d,
     encode_input,
     fixed_point,
     fourier_transform,
@@ -149,10 +150,43 @@ def test_nan_in_the_last_block_gives_nan_bounds():
     assert np.isnan(lo) and np.isnan(hi)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d,N", [(1, 23), (2, 5), (3, 5)])
+def test_the_run_reports_the_range_scanned_range_finds(monkeypatch, d, N, workers):
+    # blocks of at most 7 points: 4 runs of the d = 1 line, one line per block at
+    # d >= 2, so the range is combined over several blocks and, with 2 workers, chunks
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", 7)
+    monkeypatch.setattr(qsim, "_WORKERS", workers)
+    rng = np.random.default_rng(d)
+    H = rng.normal(size=(d, d))
+    spec = ProblemSpec(d=d, N=N, n_o=12, l=1.0, m=1.0, x0=np.full(d, 0.1))
+    catalog = [linear(rng.normal(size=d), c=0.5), quadratic(rng.normal(size=d), H + H.T),
+               sinusoid(0.7, rng.normal(size=d)), *([cubic_1d(0.8)] if d == 1 else [])]
+    for f in catalog:
+        report = run_gradient_estimation(f, spec, shots=0)
+        assert report.value_range == scanned_range(f, spec), f.name
+        assert build_phase_state(f, spec).value_range == report.value_range, f.name
+        values = f.eval(encode_input(lattice_points(spec), spec))
+        assert report.value_range == (values.min(), values.max()), f.name
+
+
+def test_the_value_range_survives_the_transform_and_phase_errors():
+    spec = ProblemSpec(d=2, N=8, n_o=8, l=1.0, m=1.0)
+    f = quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]])
+    grid = build_phase_state(f, spec)
+    assert grid.value_range == scanned_range(f, spec)
+    assert fourier_transform(grid).value_range == grid.value_range
+    assert apply_phase_error(grid, np.full(spec.size, 0.1)).value_range == grid.value_range
+    assert fourier_transform(grid, in_place=True).value_range == scanned_range(f, spec)
+    # a grid that no query built has no range
+    assert random_grid(4, 2, 0).value_range is None
+
+
 def test_build_calls_each_stage_once_per_block(monkeypatch):
     # perfbench's per-layer tracing wraps these qsim globals; the build must look them up.
-    # eval, quantize_output and lattice_points (the line heads) run once per block,
-    # encode_input twice (the heads and the run of last coordinates)
+    # eval and quantize_output run once per block; at d >= 2 lattice_points (the
+    # line heads) runs once and encode_input twice (the heads and the run of last
+    # coordinates), at d = 1 encode_input once (the run is the block)
     calls = Counter()
 
     def counted(name, fn):
@@ -177,8 +211,9 @@ def test_build_calls_each_stage_once_per_block(monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_POINTS", block)
         f = replace(f, eval=counted("eval", f.eval))
         build_phase_state(f, spec)
-        assert calls == {"lattice_points": blocks, "encode_input": 2 * blocks,
-                         "quantize_output": blocks, "eval": blocks}
+        heads = blocks if spec.d > 1 else 0
+        assert calls == Counter(lattice_points=heads, encode_input=blocks + heads,
+                                quantize_output=blocks, eval=blocks)
 
 
 @pytest.mark.parametrize("spec,blocks", [
@@ -886,6 +921,34 @@ def test_wrap_signed_shorter_arc():
     assert wrap_signed(7, 8) == pytest.approx(-1.0)
     assert wrap_signed(-5, 8) == pytest.approx(3.0)
     assert wrap_signed(3, 8) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("delta_k,N,message", [
+    (3, 0, "N must be positive and finite, got 0.0"),
+    (3, -8, "N must be positive and finite, got -8.0"),
+    (3, np.inf, "N must be positive and finite, got inf"),
+    (3, np.nan, "N must be positive and finite, got nan"),
+    (3, "8", "N must be a real number"),
+    (np.nan, 8, "delta_k must be finite, got nan"),
+    (np.inf, 8, "delta_k must be finite, got inf"),
+    ([1.0, -np.inf], 8, "delta_k must be finite, got -inf"),
+])
+def test_wrap_signed_rejects_what_it_cannot_wrap(delta_k, N, message):
+    # a one-line ValueError that names the argument, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            wrap_signed(delta_k, N)
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_wrap_signed_takes_integers_without_an_entry_check(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("integer input paid a finiteness check")
+
+    expected = wrap_signed(np.arange(-8, 9), 8)
+    monkeypatch.setattr(np, "isfinite", no_check)
+    assert np.array_equal(wrap_signed(np.arange(-8, 9), 8), expected)
 
 
 def test_circular_stats_point_mass():
