@@ -85,6 +85,11 @@ def _config_comment(args: argparse.Namespace) -> str:
     return f"config {json.dumps(cfg, sort_keys=True)} version={__version__}"
 
 
+def _summary(args, text: str) -> None:
+    """Print the one-line run summary beside the CSV: on stderr when the CSV takes stdout."""
+    print(text, file=sys.stderr if args.out == "-" else sys.stdout)
+
+
 def _per_axis(values: list[float], d: int, flag: str) -> list[float]:
     """A "1 or d components" option: one component is repeated on every axis."""
     if len(values) == 1:
@@ -152,11 +157,8 @@ def cmd_run(args) -> int:
     columns = {"axis": "%d", "true_gradient": "%.12g", "decoded_mode": "%.12g",
                "success_prob": "%.12g", "sigma_pred": "%.12g", "sigma_meas": "%.12g"}
     _write_csv(args.out, [_config_comment(args)], columns, [rows])
-    print(
-        f"queries={report.query_count} mode={report.mode_index.tolist()} "
-        f"success_prob={report.success_probability:.6f}",
-        file=sys.stderr if args.out == "-" else sys.stdout,
-    )
+    _summary(args, f"queries={report.query_count} mode={report.mode_index.tolist()} "
+                   f"success_prob={report.success_probability:.6f}")
     return 0
 
 
@@ -217,14 +219,12 @@ def cmd_peak2d(args) -> int:
         H = (spec.m / spec.N) * 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]])
     f = quadratic([0.0, 0.0], H, c=0.0)
     # the masks come first, so a bad slack is rejected before the run; they are
-    # taken per block of whole lattice lines and kept whole, 1 B/point each
+    # taken over the walk's blocks of whole lattice lines and kept whole, 1 B/point each
     pred = stationary_phase_sigma(H, spec)
     N = spec.N
     inside = np.empty(spec.size, dtype=bool)
     inside_outer = np.empty(spec.size, dtype=bool)
-    rows = N * max(1, qsim.BLOCK_POINTS // N)
-    for start in range(0, spec.size, rows):
-        stop = min(start + rows, spec.size)
+    for start, stop in qsim._blocks(spec.size, N):
         signed = signed_index(lattice_points(spec, start, stop), N)
         inside[start:stop] = support_membership(signed, pred, slack=args.slack_cells)
         inside_outer[start:stop] = support_membership(signed, pred, slack=args.slack_cells_outer)
@@ -254,10 +254,7 @@ def cmd_peak2d(args) -> int:
 
     columns = {"k1": "%d", "k2": "%d", "prob": "%.12g", "inside_predicted": "%d"}
     _write_csv(args.out, comments, columns, templated=lattice_lines())
-    print(
-        f"mass_inside={mass_inside:.6f} mass_outside={mass_outside:.6f}",
-        file=sys.stderr if args.out == "-" else sys.stdout,
-    )
+    _summary(args, f"mass_inside={mass_inside:.6f} mass_outside={mass_outside:.6f}")
     return 0
 
 

@@ -25,12 +25,12 @@ class TestFunction:
 
     `eval` must be vectorized, mapping points of shape (..., d) to values of
     shape (...), and each value must depend only on its own point: the phase
-    grid is built by calling it on row-major blocks of at most
-    `qsim.BLOCK_POINTS` lattice points.  `eval` must be safe to call from
-    several threads at once, since the blocks may be split over threads;
-    the catalog's functions are pure numpy.  Those threads live only for
-    the call, so `eval` may itself call back into qgrad, for instance to
-    build another phase grid.  The build, `scanned_range` and the run raise
+    grid is built by calling it on the row-major blocks of `qsim._blocks`,
+    whole lattice lines of about `qsim.BLOCK_POINTS` points.  `eval` must
+    be safe to call from several threads at once, since the blocks may be
+    split over threads; the catalog's functions are pure numpy.  Those
+    threads live only for the call, so `eval` may itself call back into
+    qgrad, for instance to build another phase grid.  The build, `scanned_range` and the run raise
     ValueError before any callback when `d` is not the lattice's.
     """
 
@@ -161,6 +161,8 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
             return c + pts @ g + 0.5 * _einsum_form(pts, H)
         from .qsim import BLOCK_POINTS  # qsim imports this module
 
+        # not qsim._blocks: the slabs split one block's terms evenly, with no
+        # one-row slab, to keep einsum's bits, a rule of this caller alone
         form = _slab_form(pts, H, max(4, BLOCK_POINTS // (d * d)))
         # halved in place, as numpy's temporary elision halves the einsum above,
         # and taken before c + g.x, so that no block-sized sum waits through the slabs

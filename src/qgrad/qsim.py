@@ -9,14 +9,22 @@ exact, not an approximation, and the output register stays unentangled for the
 whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
 `_walk`, the one walk of f over the lattice, evaluates that query in
-row-major blocks that never straddle a line end, so the state is the only
-lattice-sized array of the build; the phases come from a table of the N_o
+row-major blocks, so the state is the only lattice-sized array of the
+build; the phases come from a table of the N_o
 register values only when that table is smaller than the lattice and no
 larger than a block.  The walk also gives the range of f it saw, which the
 grid and the run's report carry as `value_range`, so no caller needs a
 second walk for it.  A grid holds its amplitudes or probabilities as one
 C-contiguous flat array.  A d = 1 lattice is the d >= 2 one with no leading
 axes: its blocks are enumerated, and its line transformed, by the same code.
+
+Every loop over the lattice or the probabilities in row order (the walk,
+`|amps|^2`, both passes of sampling, the variance, the four-step's rows and
+the CLI's `peak2d` masks) takes its blocks from one rule, in `_blocks`: the
+whole `line`-long lines that fit in BLOCK_POINTS, at least one line, the
+last block shorter.  A d >= 2 walk's line is the last axis, so no block
+straddles a line end; the four-step's is a row of its square; at d = 1,
+and over the probabilities, a line is one point.
 
 Every pass that splits its work does so by one rule, in `_in_chunks`: at
 most one contiguous chunk per usable core (`_WORKERS`), and no chunk with
@@ -63,11 +71,18 @@ from .core import (
 )
 from .functions import TestFunction
 
-# Lattice points per block of every blocked loop (the oracle walk, the
-# four-step row pass, |amps|^2, sampling, the d=1 variance), so their
-# temporaries take O(BLOCK_POINTS * d) bytes whatever the lattice size; and
-# the least work `_in_chunks` gives a worker.
+# Lattice points per block of every blocked loop, whose bounds `_blocks`
+# alone sets, so their temporaries take O(BLOCK_POINTS * d) bytes whatever
+# the lattice size; and the least work `_in_chunks` gives a worker.
 BLOCK_POINTS = 2 ** 16
+
+
+def _blocks(n: int, line: int = 1) -> list[tuple[int, int]]:
+    """The one block rule: [(start, stop)] over range(n) in order, each block
+    the whole `line`-long lines that fit in BLOCK_POINTS, at least one line,
+    the last block shorter.  n is a multiple of `line`."""
+    rows = line * max(1, BLOCK_POINTS // line)
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _usable_cores() -> int:
@@ -213,23 +228,19 @@ def _value_range(runs: list) -> tuple[float, float]:
 
 def _walk(f: TestFunction, spec: ProblemSpec, consume) -> list:
     """The one walk of f over the lattice: [consume(blocks)] over contiguous
-    runs of blocks in row order, as `_in_chunks` splits them.
-
-    A block never straddles a line end: it is the whole last-axis lines
-    that fit in BLOCK_POINTS, at least one, or, on the single line of a
-    d = 1 lattice longer than BLOCK_POINTS, a run of BLOCK_POINTS rows;
-    `blocks` yields each block's (start, stop, f at rows [start, stop)).
+    runs of `_blocks` in row order, as `_in_chunks` splits them, a line
+    being the last axis at d >= 2 and one point at d = 1; `blocks` yields
+    each block's (start, stop, f at rows [start, stop)).
     """
     _check_d(f, spec)
-    rows = spec.N * (BLOCK_POINTS // spec.N) or (BLOCK_POINTS if spec.d == 1 else spec.N)
+    bounds = _blocks(spec.size, spec.N if spec.d > 1 else 1)
 
     def blocks(first, last):
-        for start in range(first * rows, min(last * rows, spec.size), rows):
-            stop = min(start + rows, spec.size)
+        for start, stop in bounds[first:last]:
             # a local name for the values would keep them alive after the consumer drops them
             yield start, stop, _evaluate(f, _block_points(spec, start, stop))
 
-    return _in_chunks(lambda first, last: consume(blocks(first, last)), -(-spec.size // rows), spec.size)
+    return _in_chunks(lambda first, last: consume(blocks(first, last)), len(bounds), spec.size)
 
 
 def _check_d(f: TestFunction, spec: ProblemSpec) -> None:
@@ -249,25 +260,21 @@ def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
 
 
 def _block_points(spec: ProblemSpec, start: int, stop: int) -> np.ndarray:
-    """Encoded points of rows [start, stop), shape (stop - start, d).
+    """Encoded points of rows [start, stop) of a block of `_walk`, shape (stop - start, d).
 
-    A block of `_walk` is whole last-axis lines, or one run of w < N rows
-    inside the d = 1 line, so with w = min(N, stop - start) it holds runs of
-    w rows, each starting at a line head, along which only the last
-    coordinate changes, through the same w values start % N + arange(w).
-    encode_input maps each column on its own, so the block is its encoded
-    heads, each repeated w times, with the last column written over by the
-    encoded run.  At d = 1 the block is the encoded run itself.
+    At d = 1 the block is the encoded run arange(start, stop).  At d >= 2
+    its lines differ only in their heads, and along each line only the last
+    coordinate changes, through arange(N); encode_input maps each column on
+    its own, so the block is its encoded heads, each repeated N times, with
+    the last column written over by the encoded line.
     """
     N, d = spec.N, spec.d
-    w = min(N, stop - start)
-    run = (start % N + np.arange(w))[:, None]
     if d == 1:
-        return encode_input(run, spec)
-    # the run first: its index temporaries are freed before the block is allocated
-    run = encode_input(np.broadcast_to(run, (w, d)), spec)[:, -1]
-    points = np.repeat(encode_input(lattice_points(spec, start, stop, step=w), spec), w, axis=0)
-    points.reshape(-1, w, d)[:, :, -1] = run
+        return encode_input(np.arange(start, stop)[:, None], spec)
+    # the line first: its index temporaries are freed before the block is allocated
+    run = encode_input(np.broadcast_to(np.arange(N)[:, None], (N, d)), spec)[:, -1]
+    points = np.repeat(encode_input(lattice_points(spec, start, stop, step=N), spec), N, axis=0)
+    points.reshape(-1, N, d)[:, :, -1] = run
     return points
 
 
@@ -354,44 +361,43 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     do not depend on the worker count.  The twiddles of row k1 = 64*q + r
     are row q of `hi` times row r of `lo`, two tables of 16 * n1 * (n1/64 +
     64) bytes together (3 MB at N = 2**22), whose index products are reduced
-    mod N before the exp.  A block of rows, at most BLOCK_POINTS points or
-    one row, stays inside one run of 64 rows, so it is multiplied in place by one row
-    of `hi` and a slice of `lo`, and is scaled while it is in cache.  The
-    transpose swaps 64x64 tiles through one tile copy.
+    mod N before the exp.  The row pass splits the runs of 64 rows over the
+    workers; each block of a run (`_blocks`, a line being a row) is
+    multiplied in place by the run's row of `hi` and a slice of `lo`, and
+    is scaled while it is in cache.  The transpose swaps 64x64 tiles
+    through one tile copy.
     """
     n1 = a.shape[0]
     N = n1 * n1
     j2 = np.arange(n1)
     hi = _twiddles(64 * np.arange(-(-n1 // 64)), j2, N)
     lo = _twiddles(np.arange(min(64, n1)), j2, N)
-    rows = max(1, BLOCK_POINTS // n1)
+    # the runs of 64 rows: one row of `hi` each, and the sides of the transpose's tiles
+    runs = [slice(64 * q, 64 * (q + 1)) for q in range(len(hi))]
 
     def lines(first, last):
-        start = first
-        while start < last:
-            stop = min(last, start + rows, (start // 64 + 1) * 64)
-            block = a[start:stop]
-            block *= hi[start // 64]
-            block *= lo[start % 64:start % 64 + stop - start]
-            np.fft.fft(block, axis=1, out=block)
-            block /= scale
-            start = stop
+        for q in range(first, last):
+            run = a[runs[q]]
+            for start, stop in _blocks(run.size, n1):
+                rows = slice(start // n1, stop // n1)
+                block = run[rows]
+                block *= hi[q]
+                block *= lo[rows]
+                np.fft.fft(block, axis=1, out=block)
+                block /= scale
 
-    tile = 64
-    tiles = -(-n1 // tile)
-    pairs = [(i, j) for i in range(tiles) for j in range(i, tiles)]
+    pairs = [(i, j) for i in range(len(runs)) for j in range(i, len(runs))]
 
     def transpose(first, last):
         for i, j in pairs[first:last]:
-            upper = a[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile]
-            lower = a[j * tile:(j + 1) * tile, i * tile:(i + 1) * tile]
+            upper, lower = a[runs[i], runs[j]], a[runs[j], runs[i]]
             held = upper.copy()
             if i != j:
                 upper[...] = lower.T
             lower[...] = held.T
 
     _columns(a)
-    _in_chunks(lines, n1, N)
+    _in_chunks(lines, len(runs), N)
     _in_chunks(transpose, len(pairs), N)
 
 
@@ -400,17 +406,15 @@ def outcome_distribution(grid: AmplitudeGrid, *, in_place: bool = False) -> Outc
 
     By default the probabilities are a new float array.  `in_place=True`
     writes them into the float64 view of the first N**d * 8 bytes of the
-    grid's own buffer, which then holds them.  The blocks of BLOCK_POINTS
-    points run in ascending order on one thread: writing block [s, e) of
-    the floats overwrites no amplitude of a later block, but does overlap
-    amplitudes of lower blocks, which a second worker might not have read
-    yet.
+    grid's own buffer, which then holds them.  The blocks run in ascending
+    order on one thread: writing block [s, e) of the floats overwrites no
+    amplitude of a later block, but does overlap amplitudes of lower
+    blocks, which a second worker might not have read yet.
     """
     amps = grid.amps
     out = amps.view(float)[: amps.size] if in_place else np.empty(amps.size)
-    for start in range(0, amps.size, BLOCK_POINTS):
-        src = amps[start:start + BLOCK_POINTS]
-        block = out[start:start + BLOCK_POINTS]
+    for start, stop in _blocks(amps.size):
+        src, block = amps[start:stop], out[start:stop]
         if np.may_share_memory(src, block):
             # only the first block of the state's own buffer: numpy would run an
             # overlapping call through a buffered loop whose |a| can differ by an ulp
@@ -427,9 +431,9 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     sequence no matter how the surrounding work is scheduled.  The draws are
     those of `Generator.choice(N**d, shots, p=probs/probs.sum())`, without
     its N**d-entry temporaries: the cumulative sum of the normalized weights
-    is taken in blocks of BLOCK_POINTS, once over every block for the value
-    at each block's end, and once more only in the blocks whose range holds
-    a sorted uniform, to search them there.  Weights that are negative or
+    is taken block by block, once over every block for the value at each
+    block's end, and once more only in the blocks whose range holds a
+    sorted uniform, to search them there.  Weights that are negative or
     NaN, in any block, or whose sum is not finite and positive, raise
     ValueError, as does a seed that is not an integer >= 0.
     """
@@ -441,15 +445,14 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     total = float(probs.sum())
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite positive sum")
-    starts = range(0, probs.size, BLOCK_POINTS)
+    blocks = _blocks(probs.size)
     # carries[b] is the cdf just before block b, so carries[-1] is its last value
-    carries = np.zeros(len(starts) + 1)
-    buffer = np.empty(min(BLOCK_POINTS, probs.size))
-    for b, start in enumerate(starts):
-        carries[b + 1] = _block_cdf(probs, start, total, carries[b], buffer)[-1]
+    carries = np.zeros(len(blocks) + 1)
+    buffer = np.empty(blocks[0][1])  # the first block is the longest
+    for b, (start, stop) in enumerate(blocks):
+        carries[b + 1] = _block_cdf(probs, start, stop, total, carries[b], buffer)[-1]
     last = carries[-1]
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(shots)
+    u = np.random.Generator(np.random.Philox(seed)).random(shots)
     order = np.argsort(u, kind="stable")
     u = u[order]
     # the uniforms below a block's normalized end value and at or above the
@@ -459,9 +462,9 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     lo = 0
     for b, hi in enumerate(ends):
         if hi > lo:
-            cdf = _block_cdf(probs, starts[b], total, carries[b], buffer)
+            cdf = _block_cdf(probs, *blocks[b], total, carries[b], buffer)
             cdf /= last
-            flat[order[lo:hi]] = starts[b] + np.searchsorted(cdf, u[lo:hi], side="right")
+            flat[order[lo:hi]] = blocks[b][0] + np.searchsorted(cdf, u[lo:hi], side="right")
             lo = hi
     return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
 
@@ -474,17 +477,17 @@ def _seed(seed) -> int:
     return seed
 
 
-def _block_cdf(probs: np.ndarray, start: int, total: float, carry: float, buffer: np.ndarray) -> np.ndarray:
-    """cumsum(probs / total)[start:start + BLOCK_POINTS], in the head of `buffer`.
+def _block_cdf(probs: np.ndarray, start: int, stop: int, total: float, carry: float,
+               buffer: np.ndarray) -> np.ndarray:
+    """cumsum(probs / total)[start:stop], in the head of `buffer`.
 
     `carry` is that cumsum just before `start`, 0.0 for the first block.  It
     is added into the block's first element before the block's own cumsum,
     which is the sequential sum `cumsum` takes over the whole array, bit for bit.
     """
-    block = probs[start:start + BLOCK_POINTS]
-    cdf = np.divide(block, total, out=buffer[:block.size])
+    cdf = np.divide(probs[start:stop], total, out=buffer[:stop - start])
     if not cdf.min() >= 0.0:
-        raise ValueError(f"weights must be nonnegative, found one in [{start}, {start + cdf.size})")
+        raise ValueError(f"weights must be nonnegative, found one in [{start}, {stop})")
     cdf[0] += carry
     return np.cumsum(cdf, out=cdf)
 
@@ -498,14 +501,27 @@ def _block_cdf(probs: np.ndarray, start: int, total: float, carry: float, buffer
 def wrap_signed(delta_k, N: int) -> np.ndarray:
     """Signed shorter-arc difference on the period-N lattice.
 
-    N must be a positive finite real, and a float delta_k finite; integer
-    delta_k is taken as it is, with no check of each entry.
+    N must be a positive finite real, and a float delta_k finite with
+    delta_k + N/2 within the floats.  With an integer N, integer delta_k
+    is wrapped in the integers and rounded to a float once, so it is exact
+    at any size; with an N that is not an integer it must lie below 2**53
+    in magnitude.  Integer input has no finiteness check of each entry.
     """
     N = _real("N", N)
     if not 0 < N < np.inf:
         raise ValueError(f"N must be positive and finite, got {N}")
     raw = np.asarray(delta_k)
+    if raw.dtype.kind in "iuO" and N.is_integer():  # "O": Python ints beyond 64 bits
+        n, flat = int(N), raw.reshape(-1)  # 1-d: numpy gives a 0-d object result as a bare int
+        # Python ints wherever r - n could wrap around in a fixed-width type
+        r = (flat if flat.dtype.kind == "i" and n < 2 ** 63 else flat.astype(object)) % n
+        return np.where(r < n - n // 2, r, r - n).astype(float).reshape(raw.shape)[()]
+    if raw.dtype.kind in "iuO" and raw.size and not -2 ** 53 < raw.min() <= raw.max() < 2 ** 53:
+        raise ValueError(f"delta_k must lie below 2**53 in magnitude when N = {N} is not an integer")
     _check_finite("delta_k", raw)
+    # a Python float sum overflows to inf with no warning; every entry's sum is at most this one
+    if raw.dtype.kind == "f" and raw.size and float(raw.max()) + N / 2.0 == np.inf:
+        raise ValueError(f"delta_k + N/2 must stay within the floats, got N = {N}")
     return (np.asarray(raw, dtype=float) + N / 2.0) % N - N / 2.0
 
 
@@ -575,10 +591,9 @@ def circular_mean(probs) -> float:
 def circular_variance(probs, mean: float) -> float:
     """Wrapped second moment (k^2 units) of a weight vector of length N about `mean`.
 
-    The deviations are wrap_signed(k - mean, N), computed in blocks of at
-    most BLOCK_POINTS entries, so nothing of length N is allocated.  The
-    mean, usually `circular_mean(probs)`, must be finite with
-    |mean| + 2N < 2**52.
+    The deviations are wrap_signed(k - mean, N), computed block by block,
+    so nothing of length N is allocated.  The mean, usually
+    `circular_mean(probs)`, must be finite with |mean| + 2N < 2**52.
     """
     w, N, total = _weights(probs)
     if not abs(mean) + 2 * N < 2.0 ** 52:
@@ -590,8 +605,8 @@ def circular_variance(probs, mean: float) -> float:
     # slices of each block instead of a modulo
     j = np.floor(((0.0 - mean) + N / 2.0) / N)
     second = 0.0
-    for start in range(0, N, BLOCK_POINTS):
-        x = np.arange(start, min(start + BLOCK_POINTS, N), dtype=float)
+    for start, stop in _blocks(N):
+        x = np.arange(start, stop, dtype=float)
         x -= mean
         x += N / 2.0
         split = np.searchsorted(x, (j + 1) * N)
@@ -599,7 +614,7 @@ def circular_variance(probs, mean: float) -> float:
         x[split:] -= (j + 1) * N
         x -= N / 2.0
         np.square(x, out=x)
-        second += float(np.einsum("k,k->", w[start:start + x.size], x))  # a dot product without BLAS
+        second += float(np.einsum("k,k->", w[start:stop], x))  # a dot product without BLAS
     return second / total
 
 

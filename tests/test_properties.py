@@ -89,6 +89,23 @@ def test_build_does_not_depend_on_the_blocking(data):
 
 
 @FAST
+@given(st.integers(1, 300), st.integers(1, 50), st.one_of(st.integers(1, 700), st.just(qsim.BLOCK_POINTS)))
+def test_blocks_are_whole_lines_that_cover_the_range_in_order(line, lines, block):
+    # the one block rule: for n a multiple of `line`, every block is whole lines,
+    # at least one, at most max(BLOCK_POINTS, line) long, and the blocks tile range(n)
+    n = line * lines
+    with mock.patch.object(qsim, "BLOCK_POINTS", block):
+        bounds = qsim._blocks(n, line)
+    assert [start for start, _ in bounds] == [0, *(stop for _, stop in bounds[:-1])]
+    assert bounds[-1][1] == n
+    for i, (start, stop) in enumerate(bounds):
+        assert start % line == 0 and stop % line == 0
+        assert line <= stop - start <= max(block, line)
+        # every block but the last holds as many lines as fit
+        assert i == len(bounds) - 1 or stop - start + line > block
+
+
+@FAST
 @given(lattices(max_d=2, max_N=40), st.data())
 def test_integer_planewave_is_a_deterministic_outcome(spec, data):
     nu = np.array(data.draw(st.lists(st.integers(-100, 100), min_size=spec.d, max_size=spec.d)))

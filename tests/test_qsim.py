@@ -255,6 +255,29 @@ def test_no_block_straddles_a_line_end(monkeypatch, d, N, block):
 FOUR_BLOCKS = ProblemSpec(d=1, N=3 * BLOCK_POINTS + 100, n_o=8, l=1.0, m=1.0)
 
 
+def test_every_blocked_loop_asks_the_one_rule(monkeypatch, tmp_path):
+    # the walk, peak2d's masks, |a|^2, sampling, the variance and the four-step's
+    # rows take their bounds from qsim._blocks and compute none of their own
+    asked = []
+    blocks = qsim._blocks
+
+    def recorded(n, line=1):
+        asked.append((sys._getframe(1).f_code.co_name, line))  # the caller, and its line
+        return blocks(n, line)
+
+    monkeypatch.setattr(qsim, "_blocks", recorded)
+    assert cli.main(["peak2d", "--N", "40", "--out", str(tmp_path / "peak.csv")]) == 0
+    assert set(asked) >= {("cmd_peak2d", 40), ("_walk", 40)}
+    asked.clear()
+    run_gradient_estimation(linear([0.1]), FOUR_BLOCKS, shots=100, seed=0)
+    assert set(asked) == {("_walk", 1), ("outcome_distribution", 1), ("sample", 1), ("circular_variance", 1)}
+    asked.clear()
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", 1024)
+    shapes = _four_step_shapes(monkeypatch)
+    fourier_transform(random_grid(64 ** 2, 1, seed=3))
+    assert shapes == [(64, 64)] and asked == [("lines", 64)]  # one run of 64 rows
+
+
 def _row_point(spec, row):
     return encode_input([row], spec)[0]
 
@@ -949,6 +972,55 @@ def test_wrap_signed_takes_integers_without_an_entry_check(monkeypatch):
     expected = wrap_signed(np.arange(-8, 9), 8)
     monkeypatch.setattr(np, "isfinite", no_check)
     assert np.array_equal(wrap_signed(np.arange(-8, 9), 8), expected)
+
+
+def _shorter_arc(k: int, n: int) -> float:
+    """((k + n/2) mod n) - n/2 for integers, in Python's exact ints, rounded once."""
+    return float((k + n // 2) % n - n // 2)
+
+
+def test_wrap_signed_keeps_integers_exact():
+    # float64 holds integers only below 2**53, so the wrap is taken in the integers
+    assert wrap_signed(2 ** 53 + 1, 8) == 1.0
+    assert wrap_signed(np.int64(2 ** 62) + 1, 8) == 1.0
+    assert wrap_signed(2 ** 70, 8) == 0.0
+    ks = [0, 3, -5, 2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 62 + 5, -(2 ** 63), 2 ** 63 - 1]
+    big = ks + [2 ** 70 + 7, -(2 ** 90) + 1, 2 ** 64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (7, 8, 8.0, 10 ** 6 + 1, 2.0 ** 60, 2.0 ** 64, 1.1e308):
+            n = int(N)
+            assert wrap_signed(np.array(ks, dtype=np.int64), N).tolist() == [_shorter_arc(k, n) for k in ks]
+            assert wrap_signed(big, N).tolist() == [_shorter_arc(k, n) for k in big]
+            assert wrap_signed(np.array([2 ** 64 - 1], dtype=np.uint64), N) == _shorter_arc(2 ** 64 - 1, n)
+            assert wrap_signed(-1, N) == -1.0 and isinstance(wrap_signed(-1, N), np.float64)
+    assert wrap_signed(np.arange(6).reshape(2, 3), 4).tolist() == [[0.0, 1.0, -2.0], [-1.0, 0.0, 1.0]]
+
+
+def test_wrap_signed_keeps_the_bits_of_float_input():
+    # perfbench's checks wrap float offsets: one add, one remainder, one subtract
+    rng = np.random.default_rng(5)
+    for N in (8, 7.5, 48, 2 ** 22, 1e300):
+        x = rng.uniform(-3.0, 3.0, size=1000) * N
+        assert wrap_signed(x, N).tobytes() == ((x + N / 2.0) % N - N / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("delta_k,N,words", [
+    (2 ** 53, 7.5, ["delta_k", "2**53", "7.5"]),  # not exact as a float, and not reducible mod 7.5
+    (np.array([0, -(2 ** 60)]), 0.5, ["delta_k", "2**53", "0.5"]),
+    (1.7e308, 1.7e308, ["delta_k", "N = 1.7e+308"]),  # delta_k + N/2 overflows
+    (np.array([0.0, 1.2e308]), 1.2e308, ["delta_k", "N = 1.2e+308"]),
+])
+def test_wrap_signed_rejects_what_leaves_the_floats(delta_k, N, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            wrap_signed(delta_k, N)
+    message = str(info.value)
+    assert all(word in message for word in words) and "\n" not in message, message
+    # just inside the domain
+    assert wrap_signed(2 ** 53 - 1, 7.5) == (2.0 ** 53 - 1 + 3.75) % 7.5 - 3.75
+    assert np.isfinite(wrap_signed(1e308, 1.2e308))
 
 
 def test_circular_stats_point_mass():
