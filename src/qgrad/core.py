@@ -253,13 +253,22 @@ def signed_index(k, N: int) -> np.ndarray:
         raise ValueError(f"N must lie in [1, 2**63), got {_shown(N)}")
     arr = np.asarray(k)
     _check_finite("k", arr)
-    return np.where(arr < N / 2.0, arr, arr - N)
+    # integers compare in the integers, where N / 2.0 would round for N >= 2**53
+    half = N - N // 2 if arr.dtype.kind in "iu" else N / 2.0
+    return np.where(arr < half, arr, arr - N)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise ValueError naming `name` if the float or complex `arr` holds inf or nan."""
-    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
+    """Raise ValueError naming `name` if the float or complex `arr`, or a
+    float or complex entry of the object `arr`, is inf or nan."""
+    if arr.dtype.kind in "fc":
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {arr[~finite].flat[0]}")
+    elif arr.dtype.kind == "O":
+        for x in arr.flat:
+            if isinstance(x, (float, complex, np.inexact)) and not np.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
 
 
 def decode_outcome(k, spec: ProblemSpec) -> np.ndarray:

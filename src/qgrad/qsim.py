@@ -10,13 +10,14 @@ whole run.  One batched oracle invocation therefore builds the entire phase
 grid, which is what makes the estimator a single-query algorithm at any d.
 `_walk`, the one walk of f over the lattice, evaluates that query in
 row-major blocks, so the state is the only lattice-sized array of the
-build; the phases come from a table of the N_o
-register values only when that table is smaller than the lattice and no
-larger than a block.  The walk also gives the range of f it saw, which the
-grid and the run's report carry as `value_range`, so no caller needs a
-second walk for it.  A grid holds its amplitudes or probabilities as one
-C-contiguous flat array.  A d = 1 lattice is the d >= 2 one with no leading
-axes: its blocks are enumerated, and its line transformed, by the same code.
+build.  When N_o <= BLOCK_POINTS the phases are gathered from one
+read-only table of the N_o unit phases, cached per register size, and
+otherwise taken by an exp per point.  The walk also gives the range of f
+it saw, which the grid and the run's report carry as `value_range`, so no
+caller needs a second walk for it.  A grid holds its amplitudes or
+probabilities as one C-contiguous flat array.  A d = 1 lattice is the d >= 2
+one with no leading axes: its blocks are enumerated, and its line
+transformed, by the same code.
 
 Every loop over the lattice or the probabilities in row order (the walk,
 `|amps|^2`, both passes of sampling, the variance, the four-step's rows and
@@ -188,18 +189,17 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     the batch.  The 2**53 limit of `fixed_point` is checked block by
     block, and an error reports the min and max of the first offending block
     in row order.  The grid's value_range is the min and max of the values
-    f gave, the numbers `functions.scanned_range` finds.  When N_o < N^d
-    and N_o <= BLOCK_POINTS the phases are looked up in a table of the N_o
-    register values, never larger than a block; the table holds the same
-    expression, so both ways give the same amplitudes to the bit.  The
-    state, one C-contiguous array of 16 bytes per point, is the only
-    lattice-sized array built.
+    f gave, the numbers `functions.scanned_range` finds.  When N_o <=
+    BLOCK_POINTS each block gathers its phases from `_phases(N_o)`, the
+    cached unit phases of the register, and divides them by N^(d/2) in
+    place; a larger register takes the exp of each point.  Both evaluate
+    the same expression and the same division, so both ways give the same
+    amplitudes to the bit.  The state, one C-contiguous array of 16 bytes
+    per point, is the only lattice-sized array built.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
-    table = None
-    if spec.N_o < spec.size and spec.N_o <= BLOCK_POINTS:
-        table = np.exp(2j * np.pi * np.arange(spec.N_o) / spec.N_o) / scale
+    table = _phases(spec.N_o) if spec.N_o <= BLOCK_POINTS else None
 
     def fill(blocks):
         bounds = []
@@ -207,14 +207,28 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
             bounds.append((values.min(), values.max()))
             g = quantize_output(values, spec)
             del values  # not held through the phase step, whose peak would count it
+            block = amps[start:stop]
             if table is None:
-                amps[start:stop] = np.exp(2j * np.pi * g / spec.N_o) / scale
+                np.exp(2j * np.pi * g / spec.N_o, out=block)
             else:
-                np.take(table, g, out=amps[start:stop])
+                # g already lies in [0, N_o): "wrap" changes no index, but unlike
+                # the default "raise" it lets numpy write straight into `block`
+                np.take(table, g, out=block, mode="wrap")
             del g  # nor through the next block's points and values
+            block /= scale
         return bounds
 
     return AmplitudeGrid(spec, amps, _value_range(_walk(f, spec, fill)))
+
+
+# bounded: one table per register size up to BLOCK_POINTS (n_o <= 16), 2 MB in all
+@functools.lru_cache(maxsize=16)
+def _phases(N_o: int) -> np.ndarray:
+    """exp(2*pi*i*g/N_o) for every register value g in [0, N_o), read-only:
+    every build with this N_o shares it."""
+    table = np.exp(2j * np.pi * np.arange(N_o) / N_o)
+    table.flags.writeable = False
+    return table
 
 
 def _value_range(runs: list) -> tuple[float, float]:
@@ -505,12 +519,14 @@ def wrap_signed(delta_k, N: int) -> np.ndarray:
     delta_k + N/2 within the floats.  With an integer N, integer delta_k
     is wrapped in the integers and rounded to a float once, so it is exact
     at any size; with an N that is not an integer it must lie below 2**53
-    in magnitude.  Integer input has no finiteness check of each entry.
+    in magnitude.  Integer input has no finiteness check of each entry; the
+    float entries of an object array are checked like a float array's.
     """
     N = _real("N", N)
     if not 0 < N < np.inf:
         raise ValueError(f"N must be positive and finite, got {N}")
     raw = np.asarray(delta_k)
+    _check_finite("delta_k", raw)  # the float entries of an object array too
     if raw.dtype.kind in "iuO" and N.is_integer():  # "O": Python ints beyond 64 bits
         n, flat = int(N), raw.reshape(-1)  # 1-d: numpy gives a 0-d object result as a bare int
         # Python ints wherever r - n could wrap around in a fixed-width type
@@ -518,7 +534,6 @@ def wrap_signed(delta_k, N: int) -> np.ndarray:
         return np.where(r < n - n // 2, r, r - n).astype(float).reshape(raw.shape)[()]
     if raw.dtype.kind in "iuO" and raw.size and not -2 ** 53 < raw.min() <= raw.max() < 2 ** 53:
         raise ValueError(f"delta_k must lie below 2**53 in magnitude when N = {N} is not an integer")
-    _check_finite("delta_k", raw)
     # a Python float sum overflows to inf with no warning; every entry's sum is at most this one
     if raw.dtype.kind == "f" and raw.size and float(raw.max()) + N / 2.0 == np.inf:
         raise ValueError(f"delta_k + N/2 must stay within the floats, got N = {N}")
@@ -579,7 +594,11 @@ def circular_mean(probs) -> float:
     distribution.  Takes O(N) additions and O(sqrt(N)) transcendental calls,
     and allocates nothing of length N.
     """
-    w, N, total = _weights(probs)
+    return _mean(*_weights(probs))
+
+
+def _mean(w: np.ndarray, N: int, total: float) -> float:
+    """`circular_mean` of the weights `_weights` gave as (w, N, total)."""
     z = _resultant(w, N) / total
     if abs(z) < 1e-15:
         return 0.0
@@ -598,6 +617,12 @@ def circular_variance(probs, mean: float) -> float:
     w, N, total = _weights(probs)
     if not abs(mean) + 2 * N < 2.0 ** 52:
         raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mean} for N={N}")
+    return _variance(w, N, total, mean)
+
+
+def _variance(w: np.ndarray, N: int, total: float, mean: float) -> float:
+    """`circular_variance` of the weights `_weights` gave as (w, N, total),
+    about a mean with |mean| + 2N < 2**52."""
     # while |mean| + 2N < 2**52, x = (k - mean) + N/2 is sorted and spans less
     # than N, so x mod N is x - j*N below (j + 1)*N and x - (j + 1)*N from
     # there on, j = floor(x[0] / N) (a float over an integer never rounds onto
@@ -693,9 +718,10 @@ def run_gradient_estimation(
 
     def statistics():
         for axis in range(spec.d):
-            marginal = dist.marginal(axis)
-            means[axis] = circular_mean(marginal)
-            variances[axis] = circular_variance(marginal, means[axis])
+            # one sum of each marginal serves both statistics
+            w, N, total = _weights(dist.marginal(axis))
+            means[axis] = _mean(w, N, total)
+            variances[axis] = _variance(w, N, total, means[axis])
 
     # both jobs only read the distribution; with two chunks the statistics run
     # on the calling thread and sampling on a second worker

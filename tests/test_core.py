@@ -220,6 +220,19 @@ def test_signed_index_rejects_what_it_cannot_center(k, N, message):
     assert str(info.value).startswith(message) and "\n" not in str(info.value)
 
 
+def test_signed_index_is_exact_for_integers_beyond_2_53():
+    # integer k is compared with N in the integers: N / 2.0 rounds once N >= 2**53
+    N = 2 ** 62 + 2  # N / 2 = 2**61 + 1
+    ks = np.array([0, 2 ** 61, 2 ** 61 + 1, N - 1])
+    assert signed_index(ks, N).tolist() == [0, 2 ** 61, 2 ** 61 + 1 - N, -1]
+    N = 2 ** 53 + 1  # odd: k < N/2 is k <= 2**52
+    ks = np.array([2 ** 52, 2 ** 52 + 1])
+    assert signed_index(ks, N).tolist() == [2 ** 52, 2 ** 52 + 1 - N]
+    assert signed_index(np.arange(9), 9).tolist() == [0, 1, 2, 3, 4, -4, -3, -2, -1]
+    # float k keeps its float comparison
+    assert signed_index(np.array([3.0, 4.0, 4.5]), 8).tolist() == [3.0, -4.0, -3.5]
+
+
 def test_signed_index_takes_integers_without_an_entry_check(monkeypatch):
     # decode_outcome and peak2d pass integer outcomes, which need no finiteness check
     def no_check(*args, **kwargs):

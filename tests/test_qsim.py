@@ -118,18 +118,49 @@ STREAMED_CASES = [
      quadratic([0.1, -0.2], [[0.3, 0.1], [0.1, -0.2]])),
     (ProblemSpec(d=3, N=50, n_o=8, l=0.5, m=1.0), quadratic([0.1, 0.0, 0.2], np.diag([0.1, 0.2, -0.1]))),
 ]
+# one block, with fewer lattice points than register values: still the table path
+SMALL_CASES = [
+    (ProblemSpec(d=1, N=1000, n_o=16, l=1.0, m=1.0, x0=[0.2]), cubic_1d(0.8)),
+    (ProblemSpec(d=2, N=100, n_o=14, l=1.0, m=1.0), sinusoid(0.5, [1.0, 2.0])),
+]
 
 
-@pytest.mark.parametrize("spec,f", STREAMED_CASES)
+@pytest.mark.parametrize("spec,f", STREAMED_CASES + SMALL_CASES)
 def test_streamed_build_matches_one_shot_formula(spec, f):
-    assert spec.size > BLOCK_POINTS and spec.size % BLOCK_POINTS != 0
+    assert spec.size < spec.N_o <= BLOCK_POINTS or (spec.size > BLOCK_POINTS and spec.size % BLOCK_POINTS != 0)
     g = quantize_output(f.eval(encode_input(lattice_points(spec), spec)), spec)
     expected = np.exp(2j * np.pi * g / spec.N_o) / spec.N ** (spec.d / 2.0)
     assert np.array_equal(build_phase_state(f, spec).amps, expected)
 
 
-def test_streamed_build_takes_both_phase_paths():
-    assert {spec.N_o < spec.size for spec, _ in STREAMED_CASES} == {True, False}
+def test_streamed_build_takes_both_phase_paths(monkeypatch):
+    # a table exactly when N_o <= BLOCK_POINTS, whatever the lattice size
+    asked = []
+    phases = qsim._phases
+    monkeypatch.setattr(qsim, "_phases", lambda N_o: asked.append(N_o) or phases(N_o))
+    for spec, f in STREAMED_CASES + SMALL_CASES:
+        asked.clear()
+        build_phase_state(f, spec)
+        assert asked == ([spec.N_o] if spec.N_o <= BLOCK_POINTS else []), spec
+    assert {spec.N_o <= BLOCK_POINTS for spec, _ in STREAMED_CASES} == {True, False}
+
+
+def test_phase_tables_are_shared_and_read_only():
+    # one table per register size n_o <= 16, 2 MB at most over all of them
+    qsim._phases.cache_clear()
+    f = linear([0.3])
+    for n_o in range(1, 18):
+        build_phase_state(f, ProblemSpec(d=1, N=64, n_o=n_o, l=1.0, m=1.0))
+        assert qsim._phases.cache_info().currsize == min(n_o, 16)
+    tables = [qsim._phases(2 ** n_o) for n_o in range(1, 17)]
+    assert qsim._phases.cache_info().currsize == 16
+    assert sum(table.nbytes for table in tables) < 2 ** 21
+    for table in tables:
+        assert not table.flags.writeable
+        assert table is qsim._phases(table.size)
+        assert np.array_equal(table, np.exp(2j * np.pi * np.arange(table.size) / table.size))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def _spike_at_last_point(spec, height):
@@ -270,7 +301,7 @@ def test_every_blocked_loop_asks_the_one_rule(monkeypatch, tmp_path):
     assert set(asked) >= {("cmd_peak2d", 40), ("_walk", 40)}
     asked.clear()
     run_gradient_estimation(linear([0.1]), FOUR_BLOCKS, shots=100, seed=0)
-    assert set(asked) == {("_walk", 1), ("outcome_distribution", 1), ("sample", 1), ("circular_variance", 1)}
+    assert set(asked) == {("_walk", 1), ("outcome_distribution", 1), ("sample", 1), ("_variance", 1)}
     asked.clear()
     monkeypatch.setattr(qsim, "BLOCK_POINTS", 1024)
     shapes = _four_step_shapes(monkeypatch)
@@ -502,13 +533,13 @@ def test_a_run_samples_beside_its_statistics(monkeypatch, workers):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("circular_variance", "sample"):
+    for name in ("_variance", "sample"):
         monkeypatch.setattr(qsim, name, recorded(name, getattr(qsim, name)))
     monkeypatch.setattr(qsim, "_WORKERS", workers)
     run_gradient_estimation(quadratic([0.1], [[0.4]]), ProblemSpec(d=1, N=2 * BLOCK_POINTS, n_o=12, l=1.0, m=1.0),
                             shots=10)
     main = threading.main_thread().name
-    assert threads == {"circular_variance": {main}, "sample": {main if workers == 1 else "qgrad_0"}}
+    assert threads == {"_variance": {main}, "sample": {main if workers == 1 else "qgrad_0"}}
 
 
 def test_a_failed_thread_start_joins_the_started_threads(monkeypatch):
@@ -613,11 +644,35 @@ def test_run_calls_each_stage_through_qsim_globals(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("fourier_transform", "outcome_distribution", "circular_variance", "sample"):
+    for name in ("fourier_transform", "outcome_distribution", "sample"):
         monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
     spec = ProblemSpec(d=2, N=16, n_o=8, l=1.0, m=1.0)
     run_gradient_estimation(quadratic([0.1, -0.2], [[0.2, 0.05], [0.05, -0.1]]), spec, shots=10)
-    assert calls == {"fourier_transform": 1, "outcome_distribution": 1, "circular_variance": spec.d, "sample": 1}
+    assert calls == {"fourier_transform": 1, "outcome_distribution": 1, "sample": 1}
+
+
+@pytest.mark.parametrize("d,N", [(1, 2 * BLOCK_POINTS + 5), (2, 40), (3, 12)])
+def test_the_run_sums_each_marginal_once(monkeypatch, d, N):
+    # the run's statistics are the public functions' to the bit, from one `_weights` sum per axis
+    sums = Counter()
+    weights = qsim._weights
+
+    def counted(probs):
+        sums[sys._getframe(1).f_code.co_name] += 1
+        return weights(probs)
+
+    monkeypatch.setattr(qsim, "_weights", counted)
+    rng = np.random.default_rng(d)
+    H = rng.normal(size=(d, d))
+    spec = ProblemSpec(d=d, N=N, n_o=10, l=1.0, m=1.0, x0=np.full(d, 0.1))
+    report = run_gradient_estimation(quadratic(rng.normal(size=d), H + H.T), spec, shots=0)
+    assert sums == {"statistics": d}
+    for axis in range(d):
+        marginal = report.distribution.marginal(axis)
+        mean = circular_mean(marginal)
+        assert report.circular_mean_k[axis].tobytes() == np.float64(mean).tobytes()
+        variance = circular_variance(marginal, report.circular_mean_k[axis])
+        assert report.circular_variance_k[axis].tobytes() == np.float64(variance).tobytes()
 
 
 # --- fourier_transform / brute_force_transform ---
@@ -955,6 +1010,10 @@ def test_wrap_signed_shorter_arc():
     (np.nan, 8, "delta_k must be finite, got nan"),
     (np.inf, 8, "delta_k must be finite, got inf"),
     ([1.0, -np.inf], 8, "delta_k must be finite, got -inf"),
+    # an object array's float entries beside Python ints beyond 64 bits
+    (np.array([2 ** 70, np.nan], dtype=object), 8, "delta_k must be finite, got nan"),
+    (np.array([2 ** 70, np.inf], dtype=object), 8, "delta_k must be finite, got inf"),
+    (np.array([3, -np.inf], dtype=object), 7.5, "delta_k must be finite, got -inf"),
 ])
 def test_wrap_signed_rejects_what_it_cannot_wrap(delta_k, N, message):
     # a one-line ValueError that names the argument, and no numpy warning on the way
