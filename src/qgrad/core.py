@@ -246,15 +246,20 @@ def signed_index(k, N: int) -> np.ndarray:
     """Centered representative of k mod N: k if k < N/2, else k - N.
 
     N must be an integer in [1, 2**63) and a float k finite; integer k is
-    taken as it is, with no check of each entry.
+    taken as it is, with no check of each entry, but unsigned k is taken
+    as int64 and must lie below 2**63.
     """
     N = _integer("N", N)
     if not 1 <= N < 2 ** 63:
         raise ValueError(f"N must lie in [1, 2**63), got {_shown(N)}")
     arr = np.asarray(k)
     _check_finite("k", arr)
+    if arr.dtype.kind == "u":  # arr - N would stay unsigned and wrap around
+        if arr.size and arr.max() >= 2 ** 63:
+            raise ValueError(f"k must lie below 2**63, got {arr.max()}")
+        arr = arr.astype(np.int64)
     # integers compare in the integers, where N / 2.0 would round for N >= 2**53
-    half = N - N // 2 if arr.dtype.kind in "iu" else N / 2.0
+    half = N - N // 2 if arr.dtype.kind == "i" else N / 2.0
     return np.where(arr < half, arr, arr - N)
 
 

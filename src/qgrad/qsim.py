@@ -19,13 +19,21 @@ probabilities as one C-contiguous flat array.  A d = 1 lattice is the d >= 2
 one with no leading axes: its blocks are enumerated, and its line
 transformed, by the same code.
 
-Every loop over the lattice or the probabilities in row order (the walk,
-`|amps|^2`, both passes of sampling, the variance, the four-step's rows and
-the CLI's `peak2d` masks) takes its blocks from one rule, in `_blocks`: the
-whole `line`-long lines that fit in BLOCK_POINTS, at least one line, the
-last block shorter.  A d >= 2 walk's line is the last axis, so no block
-straddles a line end; the four-step's is a row of its square; at d = 1,
-and over the probabilities, a line is one point.
+Every blocked loop (the walk, `|amps|^2`, both passes of sampling, the
+variance, the transform's column slabs and groups of inner-axis slices,
+the four-step's rows and the CLI's `peak2d` masks) takes its blocks from
+one rule, in `_blocks`: the whole `line`-long lines that fit in
+BLOCK_POINTS, at least one line, the last block shorter.  A d >= 2 walk's
+line is the last axis, so no block straddles a line end; a column slab's
+is one column, an inner-axes group's one axis-0 slice's work (its points
+times its axes), and the four-step's a row of its square; at d = 1, and
+over the probabilities, a line is one point.
+
+Every 1/N^(d/2) scaling (each build block, each column slab, each block of
+the four-step's rows) is done on a block in cache by `_divide`, as one real
+multiply of its float64 view by 1/N^(d/2).  numpy's complex division by a
+real scalar s computes (re + im*0)*fl(1/s) and (im - re*0)*fl(1/s), which
+has the multiply's values, differing at most in the sign of a zero part.
 
 Every pass that splits its work does so by one rule, in `_in_chunks`: at
 most one contiguous chunk per usable core (`_WORKERS`), and no chunk with
@@ -191,11 +199,11 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     in row order.  The grid's value_range is the min and max of the values
     f gave, the numbers `functions.scanned_range` finds.  When N_o <=
     BLOCK_POINTS each block gathers its phases from `_phases(N_o)`, the
-    cached unit phases of the register, and divides them by N^(d/2) in
-    place; a larger register takes the exp of each point.  Both evaluate
-    the same expression and the same division, so both ways give the same
-    amplitudes to the bit.  The state, one C-contiguous array of 16 bytes
-    per point, is the only lattice-sized array built.
+    cached unit phases of the register; a larger register takes the exp of
+    each point.  Both evaluate the same expression, so both ways give the
+    same phases to the bit, which `_divide` then divides by N^(d/2) in
+    place.  The state, one C-contiguous array of 16 bytes per point, is
+    the only lattice-sized array built.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
@@ -215,7 +223,7 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
                 # the default "raise" it lets numpy write straight into `block`
                 np.take(table, g, out=block, mode="wrap")
             del g  # nor through the next block's points and values
-            block /= scale
+            _divide(block, scale)
         return bounds
 
     return AmplitudeGrid(spec, amps, _value_range(_walk(f, spec, fill)))
@@ -303,49 +311,102 @@ def fourier_transform(grid: AmplitudeGrid, *, in_place: bool = False) -> Amplitu
     unchanged; `in_place=True` transforms the grid's own buffer.
 
     The axes are taken in `np.fft.fftn`'s order, last first: for d >= 2,
-    axes d-1..1 on chunks of axis 0 over the workers, then, for every d,
-    axis 0 by `_columns` on the (N, N**(d-1)) view.  Each line is
-    transformed as `fftn` would, so the result is the same to the bit.
+    axes d-1..1 by `_inner_axes` on groups of axis-0 slices, then, for
+    every d, axis 0 by `_columns` on slabs of the (N, N**(d-1)) view, each
+    slab divided by N^(d/2) while it is in cache, so no pass over the
+    whole state scales it.  Each line is transformed as `fftn` would, so
+    the result has the values of `fftn(a) / N**(d/2)` (see `_divide`).
 
     The one exception is a d = 1 line with N above BLOCK_POINTS and
     N = n1**2: it is transformed by `_four_step` in the output buffer
     itself, in three passes over the workers, with the same bits for any
     worker count.  Its rounding is not pocketfft's: against one
     `np.fft.fft` of the line the results differ by a few float64 roundings
-    of max |X| (about 5e-16 of it at 2**18..2**22).
+    of max |X| (about 5e-16 of it at 2**18..2**22).  Any other d = 1 line
+    above a block is one pocketfft call, whose work buffers lie outside
+    the state: a run's process peak is then about 50 bytes per point for
+    a composite N, and about 145 for a prime N (Bluestein), against about
+    19 for a square N or a d >= 2 lattice.
     """
     spec = grid.spec
     scale = spec.N ** (spec.d / 2.0)
-    # every pass transforms the one output buffer in place, which is then scaled in place
+    # every pass transforms, and scales, the one output buffer in place
     out = grid.amps if in_place else grid.amps.copy()
     n1 = math.isqrt(spec.N)
     if spec.d == 1 and spec.N > BLOCK_POINTS and n1 * n1 == spec.N:
         _four_step(out.reshape(n1, n1), scale)
-        return replace(grid, amps=out)
-    if spec.d > 1:
-        a = out.reshape(spec.shape)
-        inner = tuple(range(1, spec.d))
-
-        def inner_axes(first, last):
-            np.fft.fftn(a[first:last], axes=inner, out=a[first:last])
-
-        _in_chunks(inner_axes, spec.N, spec.size * (spec.d - 1))
-    _columns(out.reshape(spec.N, -1))
-    out /= scale
+    else:
+        if spec.d > 1:
+            _inner_axes(out.reshape(spec.shape))
+        _columns(out.reshape(spec.N, -1), scale)
     return replace(grid, amps=out)
 
 
-def _columns(a: np.ndarray) -> None:
-    """`fft` down every column of the 2-D `a`, in place, on chunks of columns over the workers.
+def _inner_axes(a: np.ndarray) -> None:
+    """`fftn` over axes 1.. of the C-contiguous `a`, in place, on groups of axis-0 slices.
 
-    pocketfft transforms each column on its own, so the bits do not depend
-    on how the columns are chunked.
+    The groups are `_blocks` of the pass's work, a line being one slice's
+    work (its points times its axes): the slices whose work fits in
+    BLOCK_POINTS, at least one.  The workers split the groups.  pocketfft
+    transforms each line on its own, so the bits do not depend on the
+    groups.
     """
+    axes = tuple(range(1, a.ndim))
+    line = a[0].size * len(axes)
+    groups = _blocks(len(a) * line, line)
+
+    def slices(first, last):
+        for start, stop in groups[first:last]:
+            group = a[start // line:stop // line]
+            np.fft.fftn(group, axes=axes, out=group)
+
+    _in_chunks(slices, len(groups), len(a) * line)
+
+
+def _columns(a: np.ndarray, scale: float | None = None) -> None:
+    """`fft` down every column of the 2-D C-contiguous `a`, divided by `scale` if given, in place.
+
+    The columns go in slabs, `_blocks` with a column as the line: the
+    whole columns that fit in BLOCK_POINTS, at least one.  The workers
+    split the slabs.  A slab that is all of `a` is transformed where it
+    is.  Otherwise each worker copies its slabs, one at a time, into a
+    contiguous buffer of one slab, transforms the copy, divides it while
+    it is in cache, and copies it back.  pocketfft transforms each column
+    on its own, so the bits do not depend on the slabs or the workers.
+    """
+    rows = a.shape[0]
+    slabs = _blocks(a.size, rows)
+    if len(slabs) == 1:
+        np.fft.fft(a, axis=0, out=a)
+        if scale is not None:
+            _divide(a, scale)
+        return
 
     def columns(first, last):
-        np.fft.fft(a[:, first:last], axis=0, out=a[:, first:last])
+        # each slab is a strided view of `a`, moved through one slab of buffer
+        buffer = np.empty(slabs[0][1], dtype=complex)
+        for start, stop in slabs[first:last]:
+            slab = a[:, start // rows:stop // rows]
+            work = buffer[:stop - start].reshape(slab.shape)
+            work[...] = slab
+            np.fft.fft(work, axis=0, out=work)
+            if scale is not None:
+                _divide(work, scale)
+            slab[...] = work
 
-    _in_chunks(columns, a.shape[1], a.size)
+    _in_chunks(columns, len(slabs), a.size)
+
+
+def _divide(block: np.ndarray, scale: float) -> None:
+    """block /= scale for a C-contiguous complex `block`, in place, as one
+    real multiply of its float64 view by 1/scale.
+
+    numpy divides a complex array by a real scalar as (re + im*0)*fl(1/s),
+    so the multiply has the division's values; where the division turns a
+    -0.0 part into +0.0, the multiply keeps -0.0.
+    """
+    floats = block.view(float)
+    floats *= 1.0 / scale
 
 
 def _twiddles(k1: np.ndarray, j2: np.ndarray, N: int) -> np.ndarray:
@@ -369,8 +430,8 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     Bailey's four-step FFT with x[j1*n1 + j2] = a[j1, j2] and X[k1 + n1*k2]
     = b[k1, k2]: `fft` down each column gives b[k1, j2]; each row k1 is
     multiplied by the twiddles exp(-2*pi*i*k1*j2/N), transformed along the
-    row and divided by `scale`; the transpose of b is then X in row-major
-    order.  Each pass splits its columns, rows or tile pairs over the
+    row and divided by `scale` (`_divide`); the transpose of b is then X in
+    row-major order.  Each pass splits its columns, rows or tile pairs over the
     workers and does every element the same way in any chunk, so the bits
     do not depend on the worker count.  The twiddles of row k1 = 64*q + r
     are row q of `hi` times row r of `lo`, two tables of 16 * n1 * (n1/64 +
@@ -378,9 +439,11 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     mod N before the exp.  The row pass splits the runs of 64 rows over the
     workers; each block of a run (`_blocks`, a line being a row) is
     multiplied in place by the run's row of `hi` and a slice of `lo`, and
-    is scaled while it is in cache.  The transpose swaps 64x64 tiles
-    through one tile copy.
+    is scaled while it is in cache.  The column pass runs first, so its
+    slab buffers are freed before the tables are built.  The transpose
+    swaps 64x64 tiles through one tile copy.
     """
+    _columns(a)
     n1 = a.shape[0]
     N = n1 * n1
     j2 = np.arange(n1)
@@ -398,7 +461,7 @@ def _four_step(a: np.ndarray, scale: float) -> None:
                 block *= hi[q]
                 block *= lo[rows]
                 np.fft.fft(block, axis=1, out=block)
-                block /= scale
+                _divide(block, scale)
 
     pairs = [(i, j) for i in range(len(runs)) for j in range(i, len(runs))]
 
@@ -410,7 +473,6 @@ def _four_step(a: np.ndarray, scale: float) -> None:
                 upper[...] = lower.T
             lower[...] = held.T
 
-    _columns(a)
     _in_chunks(lines, len(runs), N)
     _in_chunks(transpose, len(pairs), N)
 

@@ -233,6 +233,32 @@ def test_signed_index_is_exact_for_integers_beyond_2_53():
     assert signed_index(np.array([3.0, 4.0, 4.5]), 8).tolist() == [3.0, -4.0, -3.5]
 
 
+UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("dtype", UNSIGNED)
+def test_unsigned_outcomes_decode_as_signed_ones(dtype):
+    # arr - N in the unsigned dtype would wrap: uint8 5 - 8 is 253, and decodes to 31.625
+    spec = spec_1d(N=8, m=1.0)
+    ks = np.arange(8, dtype=dtype)
+    assert signed_index(ks, 8).tolist() == signed_index(np.arange(8), 8).tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert signed_index(ks, 8).dtype == np.int64
+    assert decode_outcome(np.array([5], dtype=dtype), spec).tolist() == [-0.375]
+    assert decode_outcome(ks[:, None], spec).tolist() == decode_outcome(np.arange(8)[:, None], spec).tolist()
+    assert signed_index(dtype(7), 8) == -1  # a 0-d unsigned k
+
+
+def test_unsigned_k_beyond_int64_is_rejected():
+    N = 2 ** 63 - 1
+    assert signed_index(np.array([N - 1, 2 ** 62 - 1], dtype=np.uint64), N).tolist() == [-1, 2 ** 62 - 1]
+    assert signed_index(np.array([], dtype=np.uint64), N).tolist() == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            signed_index(np.array([1, 2 ** 63], dtype=np.uint64), 8)
+    assert str(info.value) == f"k must lie below 2**63, got {2 ** 63}"
+
+
 def test_signed_index_takes_integers_without_an_entry_check(monkeypatch):
     # decode_outcome and peak2d pass integer outcomes, which need no finiteness check
     def no_check(*args, **kwargs):

@@ -287,8 +287,9 @@ FOUR_BLOCKS = ProblemSpec(d=1, N=3 * BLOCK_POINTS + 100, n_o=8, l=1.0, m=1.0)
 
 
 def test_every_blocked_loop_asks_the_one_rule(monkeypatch, tmp_path):
-    # the walk, peak2d's masks, |a|^2, sampling, the variance and the four-step's
-    # rows take their bounds from qsim._blocks and compute none of their own
+    # the walk, peak2d's masks, the transform's inner-axes groups and column slabs,
+    # |a|^2, sampling, the variance and the four-step's columns and rows take their
+    # bounds from qsim._blocks and compute none of their own
     asked = []
     blocks = qsim._blocks
 
@@ -298,15 +299,17 @@ def test_every_blocked_loop_asks_the_one_rule(monkeypatch, tmp_path):
 
     monkeypatch.setattr(qsim, "_blocks", recorded)
     assert cli.main(["peak2d", "--N", "40", "--out", str(tmp_path / "peak.csv")]) == 0
-    assert set(asked) >= {("cmd_peak2d", 40), ("_walk", 40)}
+    # a d = 2 line's work is its 40 points along one axis; a column is 40 points
+    assert set(asked) >= {("cmd_peak2d", 40), ("_walk", 40), ("_inner_axes", 40), ("_columns", 40)}
     asked.clear()
     run_gradient_estimation(linear([0.1]), FOUR_BLOCKS, shots=100, seed=0)
-    assert set(asked) == {("_walk", 1), ("outcome_distribution", 1), ("sample", 1), ("_variance", 1)}
+    assert set(asked) == {("_walk", 1), ("_columns", FOUR_BLOCKS.N), ("outcome_distribution", 1), ("sample", 1),
+                          ("_variance", 1)}
     asked.clear()
     monkeypatch.setattr(qsim, "BLOCK_POINTS", 1024)
     shapes = _four_step_shapes(monkeypatch)
     fourier_transform(random_grid(64 ** 2, 1, seed=3))
-    assert shapes == [(64, 64)] and asked == [("lines", 64)]  # one run of 64 rows
+    assert shapes == [(64, 64)] and asked == [("_columns", 64), ("lines", 64)]  # one run of 64 rows
 
 
 def _row_point(spec, row):
@@ -787,6 +790,53 @@ def test_other_lines_stay_on_pocketfft(monkeypatch, N):
     got = fourier_transform(grid).amps
     assert shapes == []
     assert np.array_equal(got, np.fft.fftn(grid.amps) / N ** 0.5)
+
+
+def _per_axis_pocketfft(grid: AmplitudeGrid) -> np.ndarray:
+    """One `np.fft.fft` over the whole lattice per axis, last first, then a complex divide by N**(d/2)."""
+    spec, a = grid.spec, grid.reshaped()
+    for axis in reversed(range(spec.d)):
+        a = np.fft.fft(a, axis=axis)
+    return (a / spec.N ** (spec.d / 2.0)).reshape(-1)
+
+
+# with 64-point blocks: d = 1 lines longer than a block (prime and not a square),
+# columns longer than a block (d = 2), slabs whose last one is narrower (12 = 5 + 5 + 2
+# columns, 144 = 28 * 5 + 4, 169 = 42 * 4 + 1), and inner axes in groups of slices
+SLAB_CASES = [(1, 67), (1, 96), (1, 12), (2, 100), (2, 67), (2, 12), (3, 12), (3, 13), (4, 6), (4, 7), (5, 5),
+              (5, 6)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("d,N", SLAB_CASES)
+def test_slab_passes_have_the_values_of_pocketfft_per_axis(monkeypatch, d, N, workers):
+    # the values, zero signs aside: numpy's divide may turn a -0.0 part the multiply keeps into +0.0
+    monkeypatch.setattr(qsim, "BLOCK_POINTS", 64)
+    monkeypatch.setattr(qsim, "_WORKERS", workers)
+    grid = random_grid(N, d, seed=7 * N + d)
+    got = fourier_transform(grid).amps
+    assert np.array_equal(got.view(float), _per_axis_pocketfft(grid).view(float))
+
+
+@pytest.mark.parametrize("s", [2.0 ** 0.5, 3.0 ** 0.5, 7.0 ** 1.5, 48.0 ** 2, 6.0 ** 2.5, 200003.0 ** 0.5])
+def test_the_scaling_has_the_values_of_numpys_division(s):
+    # phases of magnitudes 1e-8..1e8, and zero parts: numpy's z / s is (re + im*0) * fl(1/s),
+    # which turns the -0.0 real part beside a positive imaginary one into +0.0, where the multiply keeps it
+    k = np.arange(360)
+    z = np.exp(2j * np.pi * k / 360) * 10.0 ** (16.0 * (k * 0.6180339887498949 % 1.0) - 8.0)
+    z = np.concatenate([z, [complex(-0.0, 1.0), complex(0.3, -0.0), 0j]])
+    block = z.copy()
+    qsim._divide(block, s)
+    assert np.array_equal(block, z / s)
+    assert block.tobytes() == (z.view(float) * (1.0 / s)).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_column_pass_holds_one_slab_per_worker(monkeypatch, workers):
+    # 1M points: the transform in place takes one BLOCK_POINTS buffer per worker, no state-sized copy
+    monkeypatch.setattr(qsim, "_WORKERS", workers)
+    grid = random_grid(1024, 2, seed=2)
+    assert _traced_peak(lambda: fourier_transform(grid, in_place=True)) <= workers * 16 * BLOCK_POINTS + 2 ** 16
 
 
 # --- outcome_distribution / sample ---
