@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, _integer, _shown, _symmetric
+from .core import ProblemSpec, _integer, _positive, _real, _reals, _symmetric
 
 
 @dataclass
@@ -69,16 +69,15 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
     subspace), clamps u to the unit cube, and maps the violation back
     through A: membership means the nearest in-region point, measured in
     lattice cells, is at most `slack` away in max-norm.  Every k must be
-    finite, and the slack finite and >= 0.
+    real (complex is rejected) and finite, and the slack finite and >= 0.
     """
-    if not 0 <= slack < np.inf:
-        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+    slack = _real("slack", slack, finite=True)
+    if slack < 0:
+        raise ValueError(f"slack must be >= 0, got {slack}")
     A = prediction.support_matrix
-    pts = np.asarray(k, dtype=float)
+    pts = _reals("k", k)
     if pts.ndim == 0:
         pts = pts.reshape(1)
-    if not np.isfinite(pts).all():
-        raise ValueError(f"k must be finite, got {pts[~np.isfinite(pts)][0]}")
     u = pts @ np.linalg.pinv(A).T
     np.clip(u, -0.5, 0.5, out=u)
     gap = u @ A.T
@@ -93,8 +92,7 @@ def support_membership(k, prediction: SigmaPrediction, slack: float) -> np.ndarr
 
 def classical_precision_bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
     """Bits of function precision a classical estimator needs for n output bits."""
-    _check_range(f_max, f_min, m, l, n)
-    return _bits(f_max, f_min, m, l, n)
+    return _bits(*_check_range(f_max, f_min, m, l, n))
 
 
 def quantum_precision_bits(
@@ -106,9 +104,7 @@ def quantum_precision_bits(
     least about 3.5e-308; theta = 2pi is the formal point where the
     requirement coincides with the classical one.
     """
-    _check_range(f_max, f_min, m, l, n)
-    _check_theta(theta)
-    return _bits(f_max, f_min, m, l, n) + math.log2(2.0 * math.pi / theta)
+    return _bits(*_check_range(f_max, f_min, m, l, n)) + math.log2(2.0 * math.pi / _check_theta(theta))
 
 
 def _bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
@@ -121,25 +117,29 @@ def _bits(f_max: float, f_min: float, m: float, l: float, n: float) -> float:
     return range_bits + n - math.log2(m) - math.log2(l)
 
 
-def _check_range(f_max: float, f_min: float, m: float, l: float, n: float):
-    if not (math.isfinite(f_max) and math.isfinite(f_min) and math.isfinite(n)):
-        raise ValueError(f"f_max, f_min and n must be finite, got f_max={f_max}, f_min={f_min}, n={n}")
+def _check_range(f_max, f_min, m, l, n) -> tuple[float, ...]:
+    """(f_max, f_min, m, l, n) as floats, after checking that f_max > f_min, both
+    and n finite, and m and l positive and finite."""
+    f_max, f_min, n = (_real(name, value, finite=True)
+                       for name, value in (("f_max", f_max), ("f_min", f_min), ("n", n)))
     if not f_max > f_min:
         raise ValueError(f"need f_max > f_min, got f_max={f_max}, f_min={f_min}")
-    if not (0 < m < math.inf and 0 < l < math.inf):
-        raise ValueError(f"m and l must be positive and finite, got m={m}, l={l}")
+    return f_max, f_min, _positive("m", m), _positive("l", l), n
 
 
-def _check_theta(theta: float):
+def _check_theta(theta) -> float:
+    theta = _real("theta", theta)
     if not 0.0 < theta <= 2.0 * math.pi:
         raise ValueError(f"theta must be in (0, 2*pi], got {theta}")
     if not 2.0 * math.pi / theta < math.inf:
         raise ValueError(f"theta = {theta} is too small: 2*pi/theta overflows the floats")
+    return theta
 
 
 def success_probability_bound(theta: float) -> float:
     """cos^2(theta): lower bound on hitting the ideal outcome when every
     phase is accurate to within theta."""
+    theta = _real("theta", theta)
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError(f"theta must be in [0, pi/2), got {theta}")
     return math.cos(theta) ** 2
@@ -160,18 +160,13 @@ def optimal_l(
     width they give a positive float: sigma/D2 in quantum mode and
     sigma/D3 in classical mode must neither overflow nor underflow to 0.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    d = _integer("d", d)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {_shown(d)}")
+    sigma = _positive("sigma", sigma)
+    d = _integer("d", d, low=1)
     if mode == "classical":
-        if d3 is None or not 0 < d3 < math.inf:
-            raise ValueError(f"classical mode needs a positive finite d3, got {d3}")
+        d3 = _positive("d3", d3)
         return _width(2.0 * math.sqrt(6.0 * sigma / d3), f"sigma = {sigma} over d3 = {d3}")
     if mode == "quantum":
-        if d2 is None or not 0 < d2 < math.inf:
-            raise ValueError(f"quantum mode needs a positive finite d2, got {d2}")
+        d2 = _positive("d2", d2)
         return _width(2.0 * math.sqrt(3.0) * sigma / (d2 * math.sqrt(d)), f"sigma = {sigma} over d2 = {d2}")
     raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
 

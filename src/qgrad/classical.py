@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _positive, _reals
 from .functions import TestFunction
 
 
@@ -21,19 +22,14 @@ class ClassicalReport:
     queries: int
 
 
-def _stencil_center(x, l: float) -> np.ndarray:
-    """x as a float vector, after checking it and the step."""
-    if not 0 < l < np.inf:
-        raise ValueError(f"l must be positive and finite, got {l}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite, got {x}")
-    return x
+def _stencil_center(x, l: float) -> tuple[np.ndarray, float]:
+    """x as a float vector and l as a float, after checking them."""
+    return np.atleast_1d(_reals("x", x)), _positive("l", l)
 
 
 def _query(f: TestFunction, point: np.ndarray) -> float:
-    """f(point), one `f.eval` call; a value that is not finite raises ValueError."""
-    value = float(f.eval(point))
+    """f(point), one `f.eval` call; a value that is not real and finite raises ValueError."""
+    value = float(_reals(f"the value of {f.name}", f.eval(point), finite=False))
     if not np.isfinite(value):
         raise ValueError(f"{f.name} is {value} at the query point {point.tolist()}; "
                          f"a difference rule needs finite values")
@@ -65,7 +61,7 @@ def forward_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     A query value that is not finite, or a quotient that overflows, raises
     ValueError.
     """
-    x = _stencil_center(x, l)
+    x, l = _stencil_center(x, l)
     f0 = _query(f, x)
     return ClassicalReport(_quotients(_axis_queries(f, x, l), f0, l, x), queries=x.size + 1)
 
@@ -77,7 +73,7 @@ def central_difference(f: TestFunction, x, l: float) -> ClassicalReport:
     order l^2 from the cubic ones.  A query value that is not finite, or a
     quotient that overflows, raises ValueError.
     """
-    x = _stencil_center(x, l)
+    x, l = _stencil_center(x, l)
     hi, lo = _axis_queries(f, x, l / 2.0), _axis_queries(f, x, -l / 2.0)
     return ClassicalReport(_quotients(hi, lo, l, x), queries=2 * x.size)
 
@@ -88,7 +84,8 @@ _METHODS = {"forward": forward_difference, "central": central_difference}
 def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> float:
     """Least-squares slope of log(error) vs log(l) over a sweep of step sizes.
 
-    Needs at least 4 step sizes spanning a decade.  The error at each l is the
+    Needs a 1-D sequence of at least 4 finite, positive step sizes spanning
+    a decade.  The error at each l is the
     max-norm deviation from the analytic gradient; an error that is not
     finite raises ValueError.  The slope is nan when the errors sit at the
     floating-point noise floor (e.g. central differences on a quadratic,
@@ -96,15 +93,18 @@ def error_scaling_fit(f: TestFunction, x, l_values, method: str = "central") -> 
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
-    ls = np.sort(np.asarray(l_values, dtype=float))
+    ls = _reals("l_values", l_values)
+    if ls.ndim != 1:
+        raise ValueError(f"l_values must be a 1-D sequence of step sizes, got shape {ls.shape}")
+    ls = np.sort(ls)
     if ls.size < 4:
         raise ValueError(f"need at least 4 step sizes, got {ls.size}")
-    if not (ls[0] > 0 and np.all(np.isfinite(ls))):
-        raise ValueError(f"step sizes must be positive and finite, got {ls}")
-    if ls[-1] / ls[0] < 10.0:
+    if not ls[0] > 0:
+        raise ValueError(f"step sizes must be positive, got {ls[0]}")
+    if ls[-1] / 10.0 < ls[0]:  # not ls[-1] / ls[0], which can overflow
         raise ValueError("step sizes must span at least one decade")
-    x = _stencil_center(x, ls[0])
-    true = np.atleast_1d(np.asarray(f.grad(x), dtype=float)).reshape(-1)
+    x, _ = _stencil_center(x, ls[0])
+    true = _reals(f"the gradient of {f.name}", f.grad(x), finite=False).reshape(-1)
     diff = _METHODS[method]
     with np.errstate(over="ignore"):  # an error that overflows is rejected below
         errors = np.array(

@@ -11,9 +11,17 @@ These maps tie the integer lattices to physical quantities:
 interval [-m/2, m/2) assumed to bound each gradient component.  Rounding is
 round-to-nearest with ties toward +inf, centralized in `_round_half_up` so the
 convention can be swapped in one place.
+
+Every number a caller passes to qgrad is taken by one of the checks here:
+`_integer` for counts and indices, `_real` and `_positive` for real scalars,
+and `_reals` for arrays of reals, which also takes the values a function's
+callbacks return.  Each raises a one-line ValueError naming the argument for
+a bool, complex, text or other non-number input, so no imaginary part is
+dropped on the way, and, where the argument must be finite, for an inf or nan.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -68,20 +76,12 @@ class ProblemSpec:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("d", "N", "n_o"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, low in (("d", 1), ("N", 2), ("n_o", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name in ("l", "m"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {_shown(self.d)}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {_shown(self.N)}")
-        if not 1 <= self.n_o <= MAX_N_O:
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        if self.n_o > MAX_N_O:
             raise ValueError(f"n_o must lie in [1, {MAX_N_O}], got {_shown(self.n_o)}")
-        if not 0 < self.l < np.inf:
-            raise ValueError(f"l must be positive and finite, got {self.l}")
-        if not 0 < self.m < np.inf:
-            raise ValueError(f"m must be positive and finite, got {self.m}")
         # N >= 2, so a d or an N above these bounds is over budget without taking the power
         if self.d > MAX_POINTS.bit_length() - 1 or self.N > MAX_POINTS or self.N ** self.d > MAX_POINTS:
             raise ValueError(
@@ -96,11 +96,9 @@ class ProblemSpec:
             if not 0 < value < np.inf:
                 raise ValueError(f"l = {self.l} and m = {self.m} give {what} = {value} at N = {self.N}, "
                                  f"n_o = {self.n_o}; it must be finite and nonzero")
-        x0 = np.zeros(self.d) if self.x0 is None else np.array(self.x0, dtype=float)
+        x0 = np.zeros(self.d) if self.x0 is None else np.array(_reals("x0", self.x0))
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
-        if not np.isfinite(x0).all():
-            raise ValueError(f"x0 must be finite, got {x0.tolist()}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 
@@ -130,14 +128,18 @@ class ProblemSpec:
         return self.N ** self.d
 
 
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; bools, floats and other non-integers raise ValueError."""
+def _integer(name: str, value, low: int | None = None) -> int:
+    """`value` as a Python int; bools, floats and other non-integers raise
+    ValueError, and so does an integer below `low`."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {_shown(value)}")
+    return value
 
 
 def _shown(value: int) -> str:
@@ -147,21 +149,64 @@ def _shown(value: int) -> str:
     return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
-def _real(name: str, value) -> float:
-    """`value` as a Python float; bools, strings, arrays and other non-reals raise ValueError."""
+def _real(name: str, value, finite: bool = False) -> float:
+    """`value` as a Python float; bools, strings, arrays and other non-reals
+    raise ValueError, and so, with `finite`, do inf and nan."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    """`_real(name, value)`, after checking that it is positive and finite."""
+    value = _real(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _reals(name: str, value, finite: bool = True) -> np.ndarray:
+    """`value` as a float64 array, the array itself when it already is one.
+
+    Integer and float arrays convert, and so do object arrays of real
+    numbers, such as Python ints beyond 64 bits; anything else raises
+    ValueError naming `name` (see `_check_reals`), as, with `finite`, does
+    an inf or nan.  Without `finite`, only an object array is checked
+    entry by entry: a float64 array costs a dtype test.
+    """
+    arr = np.asarray(value)
+    _check_reals(name, arr, finite)
+    return arr.astype(float, copy=False)
+
+
+def _check_reals(name: str, arr: np.ndarray, finite: bool = True) -> None:
+    """Raise ValueError naming `name` unless `arr` is an integer or float
+    array, or an object array of real numbers, and, with `finite`, each
+    float in it is finite.  A bool, complex or text array raises, and so
+    does an object entry that is a bool or no real number."""
+    if arr.dtype.kind == "O":
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{name} must be real, got an entry of type {type(x).__name__}")
+            if finite and isinstance(x, (float, np.floating)) and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
+    elif arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    elif finite and arr.dtype.kind == "f":
+        ok = np.isfinite(arr)
+        if not ok.all():
+            raise ValueError(f"{name} must be finite, got {arr[~ok].flat[0]}")
 
 
 def _symmetric(H, d: int) -> np.ndarray:
     """H as a float (d, d) matrix, after checking that it is finite and symmetric
     (rtol = atol = 1e-12)."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = np.atleast_2d(_reals("H", H))
     if H.shape != (d, d):
         raise ValueError(f"H must have shape ({d}, {d}), got {H.shape}")
-    if not np.isfinite(H).all():
-        raise ValueError(f"H must be finite, got {H.tolist()}")
     # np.allclose's test for finite entries, |H - H^T| <= atol + rtol*|H^T|,
     # without its generic setup; a difference past the floats is not close
     with np.errstate(over="ignore"):
@@ -178,9 +223,16 @@ def lattice_points(
 
     The one enumeration of [0,N)^d, in row-major order: row i equals
     np.unravel_index(i, spec.shape).  The default range is the whole lattice;
-    step=N gives the heads of the last-axis lines.
+    step=N gives the heads of the last-axis lines.  start and stop must be
+    integers in [0, N**d], and step an integer >= 1.
     """
-    rows = np.arange(start, spec.size if stop is None else stop, step)
+    start, step = _integer("start", start), _integer("step", step, low=1)
+    stop = spec.size if stop is None else _integer("stop", stop)
+    for name, value in (("start", start), ("stop", stop)):
+        if not 0 <= value <= spec.size:
+            raise ValueError(f"{name} must lie in [0, N**d = {spec.size}], got {_shown(value)}")
+    # a step past N**d takes the rows that N**d takes, and numpy takes any step up to it
+    rows = np.arange(start, stop, min(step, spec.size))
     return np.stack(np.unravel_index(rows, spec.shape), axis=-1)
 
 
@@ -211,13 +263,13 @@ def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:
     """Unwrapped fixed-point register: round(N*N_o*f / (m*l)) as int64.
 
     One unit corresponds to a function increment of m*l/(N*N_o).  This is the
-    classical register; the oracle register is the same value mod N_o.  Scaled
-    values that are not finite or not below 2**53 in magnitude cannot be
-    rounded exactly and raise ValueError.  An empty array gives an empty
-    int64 array of its shape.
+    classical register; the oracle register is the same value mod N_o.  f_val
+    must be real: complex is rejected.  Scaled values that are not finite or
+    not below 2**53 in magnitude cannot be rounded exactly and raise
+    ValueError.  An empty array gives an empty int64 array of its shape.
     """
     # one copy of the values, scaled, checked and rounded in place
-    scaled = np.array(f_val, dtype=float)
+    scaled = np.array(_reals("f_val", f_val, finite=False))
     with np.errstate(over="ignore"):
         scaled *= spec.N * spec.N_o
         scaled /= spec.m * spec.l
@@ -245,15 +297,15 @@ def quantize_output(f_val, spec: ProblemSpec):
 def signed_index(k, N: int) -> np.ndarray:
     """Centered representative of k mod N: k if k < N/2, else k - N.
 
-    N must be an integer in [1, 2**63) and a float k finite; integer k is
-    taken as it is, with no check of each entry, but unsigned k is taken
-    as int64 and must lie below 2**63.
+    N must be an integer in [1, 2**63), k real (complex is rejected) and a
+    float k finite; integer k is taken as it is, with no check of each
+    entry, but unsigned k is taken as int64 and must lie below 2**63.
     """
     N = _integer("N", N)
     if not 1 <= N < 2 ** 63:
         raise ValueError(f"N must lie in [1, 2**63), got {_shown(N)}")
     arr = np.asarray(k)
-    _check_finite("k", arr)
+    _check_reals("k", arr)
     if arr.dtype.kind == "u":  # arr - N would stay unsigned and wrap around
         if arr.size and arr.max() >= 2 ** 63:
             raise ValueError(f"k must lie below 2**63, got {arr.max()}")
@@ -261,19 +313,6 @@ def signed_index(k, N: int) -> np.ndarray:
     # integers compare in the integers, where N / 2.0 would round for N >= 2**53
     half = N - N // 2 if arr.dtype.kind == "i" else N / 2.0
     return np.where(arr < half, arr, arr - N)
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise ValueError naming `name` if the float or complex `arr`, or a
-    float or complex entry of the object `arr`, is inf or nan."""
-    if arr.dtype.kind in "fc":
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ValueError(f"{name} must be finite, got {arr[~finite].flat[0]}")
-    elif arr.dtype.kind == "O":
-        for x in arr.flat:
-            if isinstance(x, (float, complex, np.inexact)) and not np.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x}")
 
 
 def decode_outcome(k, spec: ProblemSpec) -> np.ndarray:
@@ -291,10 +330,11 @@ def nearest_lattice_index(gradient, spec: ProblemSpec) -> np.ndarray:
 
     Ties (gradient exactly between two lattice frequencies) break toward the
     negative neighbor.  Used to define "success" for a run: the measurement
-    cannot do better than the nearest point of the m/N grid.  The scaled
-    gradient N*g/m must be finite and below 2**63 in magnitude, the int64 range.
+    cannot do better than the nearest point of the m/N grid.  The gradient
+    must be real, and the scaled gradient N*g/m finite and below 2**63 in
+    magnitude, the int64 range.
     """
-    g = np.atleast_1d(np.asarray(gradient, dtype=float))
+    g = np.atleast_1d(_reals("gradient", gradient, finite=False))
     if g.shape[-1] != spec.d:
         raise ValueError(f"gradient must have last axis of length d={spec.d}")
     with np.errstate(over="ignore"):

@@ -3,7 +3,8 @@
 Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
-one-dimensional functions.  Every coefficient must be finite.  A value
+one-dimensional functions.  Every coefficient must be finite and real,
+and a vector of coefficients must have at least one component.  A value
 or derivative too large for a float is inf or nan, without a numpy warning;
 the build, the run and the precision budgets reject it with ValueError.  A
 function declares no range: `scanned_range` gives its exact min and max over
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemSpec, _symmetric
+from .core import ProblemSpec, _reals, _symmetric
 
 
 @dataclass
@@ -42,7 +43,7 @@ class TestFunction:
 
 
 def _points(x, d: int) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
+    pts = _reals("x", x, finite=False)
     if pts.ndim == 0:
         pts = pts.reshape(1)
     if pts.shape[-1] != d:
@@ -50,9 +51,14 @@ def _points(x, d: int) -> np.ndarray:
     return pts
 
 
-def _catalog(name: str, d: int, ev, gr, he) -> TestFunction:
+def _catalog(name: str, d: int, ev, gr, he, vector: str = "g") -> TestFunction:
     """A catalog `TestFunction` whose callbacks run with numpy's overflow and
-    invalid-value warnings off, so that a point too far out gives inf or nan."""
+    invalid-value warnings off, so that a point too far out gives inf or nan.
+
+    `vector` names the coefficient whose length is d, which must be >= 1.
+    """
+    if d < 1:
+        raise ValueError(f"{vector} must have at least one component, got {d}")
 
     def quiet(callback):
         def call(x):
@@ -64,18 +70,10 @@ def _catalog(name: str, d: int, ev, gr, he) -> TestFunction:
     return TestFunction(name=name, d=d, eval=quiet(ev), grad=quiet(gr), hess=quiet(he))
 
 
-def _finite(name: str, value) -> np.ndarray:
-    """`value` as a float array, after checking that it is finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
-    return arr
-
-
 def linear(g, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x, the exactly-linear case (zero Hessian everywhere)."""
-    g = np.atleast_1d(_finite("g", g))
-    _finite("c", c)
+    g = np.atleast_1d(_reals("g", g))
+    _reals("c", c)
     d = g.size
 
     def ev(x):
@@ -150,8 +148,8 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
     there or is faster (d = 1); so does every input when a probe at import
     finds that the installed numpy's einsum does not sum in the slab order.
     """
-    g = np.atleast_1d(_finite("g", g))
-    _finite("c", c)
+    g = np.atleast_1d(_reals("g", g))
+    _reals("c", c)
     d = g.size
     H = _symmetric(H, d)
 
@@ -181,7 +179,7 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
 
 def cubic_1d(a3: float) -> TestFunction:
     """f(x) = a3 * x^3 in one dimension; constant third derivative 6*a3."""
-    _finite("a3", a3)
+    _reals("a3", a3)
 
     def ev(x):
         return a3 * _points(x, 1)[..., 0] ** 3
@@ -197,8 +195,8 @@ def cubic_1d(a3: float) -> TestFunction:
 
 def sinusoid(amplitude: float, wavevector) -> TestFunction:
     """f(x) = amplitude * sin(k.x) with wavevector k."""
-    _finite("amplitude", amplitude)
-    k = np.atleast_1d(_finite("wavevector", wavevector))
+    _reals("amplitude", amplitude)
+    k = np.atleast_1d(_reals("wavevector", wavevector))
     d = k.size
 
     def ev(x):
@@ -210,7 +208,7 @@ def sinusoid(amplitude: float, wavevector) -> TestFunction:
     def he(x):
         return -amplitude * np.sin(_points(x, d) @ k)[..., None, None] * np.outer(k, k)
 
-    return _catalog("sinusoid", d, ev, gr, he)
+    return _catalog("sinusoid", d, ev, gr, he, vector="wavevector")
 
 
 def scanned_range(fn: TestFunction, spec: ProblemSpec):

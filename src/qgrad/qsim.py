@@ -57,6 +57,7 @@ own buffer.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -68,10 +69,11 @@ import numpy as np
 
 from .core import (
     ProblemSpec,
-    _check_finite,
+    _check_reals,
     _integer,
+    _positive,
     _real,
-    _shown,
+    _reals,
     decode_outcome,
     encode_input,
     lattice_points,
@@ -164,7 +166,7 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        self.probs = _flat(self.probs, self.spec, float, "probs")
+        self.probs = _flat(_reals("probs", self.probs, finite=False), self.spec, float, "probs")
 
     def reshaped(self) -> np.ndarray:
         return self.probs.reshape(self.spec.shape)
@@ -271,8 +273,9 @@ def _check_d(f: TestFunction, spec: ProblemSpec) -> None:
 
 
 def _evaluate(f: TestFunction, points: np.ndarray) -> np.ndarray:
-    """f at every point of a block in one vectorized call; `eval` must map (..., d) to (...)."""
-    values = np.asarray(f.eval(points), dtype=float)
+    """f at every point of a block in one vectorized call; `eval` must map (..., d)
+    to real values of shape (...)."""
+    values = _reals(f"the values of {f.name}", f.eval(points), finite=False)
     if values.shape != points.shape[:-1]:
         raise ValueError(
             f"{f.name}: eval must be vectorized, points of shape {points.shape} gave values "
@@ -513,10 +516,8 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     NaN, in any block, or whose sum is not finite and positive, raise
     ValueError, as does a seed that is not an integer >= 0.
     """
-    shots = _integer("shots", shots)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {_shown(shots)}")
-    seed = _seed(seed)
+    shots = _integer("shots", shots, low=1)
+    seed = _integer("seed", seed, low=0)
     probs = dist.probs
     total = float(probs.sum())
     if not (np.isfinite(total) and total > 0.0):
@@ -545,14 +546,6 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     return np.column_stack(np.unravel_index(flat, dist.spec.shape)).astype(np.int64)
 
 
-def _seed(seed) -> int:
-    """`seed` as a Python int, after checking that it is an integer >= 0."""
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {_shown(seed)}")
-    return seed
-
-
 def _block_cdf(probs: np.ndarray, start: int, stop: int, total: float, carry: float,
                buffer: np.ndarray) -> np.ndarray:
     """cumsum(probs / total)[start:stop], in the head of `buffer`.
@@ -577,18 +570,16 @@ def _block_cdf(probs: np.ndarray, start: int, stop: int, total: float, carry: fl
 def wrap_signed(delta_k, N: int) -> np.ndarray:
     """Signed shorter-arc difference on the period-N lattice.
 
-    N must be a positive finite real, and a float delta_k finite with
-    delta_k + N/2 within the floats.  With an integer N, integer delta_k
-    is wrapped in the integers and rounded to a float once, so it is exact
-    at any size; with an N that is not an integer it must lie below 2**53
-    in magnitude.  Integer input has no finiteness check of each entry; the
+    N must be a positive finite real, delta_k real (complex is rejected),
+    and a float delta_k finite with delta_k + N/2 within the floats.  With
+    an integer N, integer delta_k is wrapped in the integers and rounded to
+    a float once, so it is exact at any size; with an N that is not an
+    integer it must lie below 2**53 in magnitude.  Integer input has no finiteness check of each entry; the
     float entries of an object array are checked like a float array's.
     """
-    N = _real("N", N)
-    if not 0 < N < np.inf:
-        raise ValueError(f"N must be positive and finite, got {N}")
+    N = _positive("N", N)
     raw = np.asarray(delta_k)
-    _check_finite("delta_k", raw)  # the float entries of an object array too
+    _check_reals("delta_k", raw)  # the float entries of an object array too
     if raw.dtype.kind in "iuO" and N.is_integer():  # "O": Python ints beyond 64 bits
         n, flat = int(N), raw.reshape(-1)  # 1-d: numpy gives a 0-d object result as a bare int
         # Python ints wherever r - n could wrap around in a fixed-width type
@@ -603,11 +594,11 @@ def wrap_signed(delta_k, N: int) -> np.ndarray:
 
 
 def _weights(probs) -> tuple[np.ndarray, int, float]:
-    """The weights as float64 (a view when they already are), their count N and their sum."""
-    w = np.asarray(probs, dtype=float)
+    """The weights as float64 (the array itself when they already are), their count N and their sum."""
+    w = _reals("weights", probs, finite=False)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"weights have shape {w.shape}, expected (N,) with N >= 1")
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum is rejected below
         total = float(w.sum())
     if not (np.isfinite(total) and total != 0.0):
         raise ValueError(f"weights sum to {total}, expected a finite nonzero sum")
@@ -654,14 +645,18 @@ def circular_mean(probs) -> float:
 
     Undefined (returns 0.0) when the resultant vanishes, e.g. for the uniform
     distribution.  Takes O(N) additions and O(sqrt(N)) transcendental calls,
-    and allocates nothing of length N.
+    and allocates nothing of length N.  Weights near the float limit, whose
+    resultant over their sum overflows, raise ValueError.
     """
-    return _mean(*_weights(probs))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected in _mean
+        return _mean(*_weights(probs))
 
 
 def _mean(w: np.ndarray, N: int, total: float) -> float:
     """`circular_mean` of the weights `_weights` gave as (w, N, total)."""
     z = _resultant(w, N) / total
+    if not cmath.isfinite(z):
+        raise ValueError(f"the weights' resultant over their sum is {z}, beyond the floats")
     if abs(z) < 1e-15:
         return 0.0
     mean = (N / (2.0 * np.pi)) * np.angle(z) % N
@@ -675,11 +670,17 @@ def circular_variance(probs, mean: float) -> float:
     The deviations are wrap_signed(k - mean, N), computed block by block,
     so nothing of length N is allocated.  The mean, usually
     `circular_mean(probs)`, must be finite with |mean| + 2N < 2**52.
+    Weights near the float limit, whose weighted sum of squared deviations
+    overflows, raise ValueError.
     """
     w, N, total = _weights(probs)
+    mean = _real("mean", mean)
     if not abs(mean) + 2 * N < 2.0 ** 52:
         raise ValueError(f"mean must be finite with |mean| + 2N below 2**52, got {mean} for N={N}")
-    return _variance(w, N, total, mean)
+    variance = _variance(w, N, total, mean)
+    if not math.isfinite(variance):
+        raise ValueError(f"the weights give a variance of {variance}, beyond the floats")
+    return variance
 
 
 def _variance(w: np.ndarray, N: int, total: float, mean: float) -> float:
@@ -756,12 +757,10 @@ def run_gradient_estimation(
     shots = 0 skips sampling and reports distribution-level quantities only;
     the seed is checked all the same.
     """
-    shots = _integer("shots", shots)
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {_shown(shots)}")
-    seed = _seed(seed)
+    shots = _integer("shots", shots, low=0)
+    seed = _integer("seed", seed, low=0)
     _check_d(f, spec)
-    true_gradient = np.asarray(f.grad(spec.x0), dtype=float).reshape(spec.d)
+    true_gradient = _reals(f"the gradient of {f.name}", f.grad(spec.x0), finite=False).reshape(spec.d)
     success_index = nearest_lattice_index(true_gradient, spec)
     # the run owns its state: the transform, the probabilities and the
     # statistics all work in the one buffer the build fills
@@ -810,10 +809,9 @@ def run_gradient_estimation(
 
 
 def apply_phase_error(grid: AmplitudeGrid, errors) -> AmplitudeGrid:
-    """New grid with per-point phases rotated by finite `errors` (radians, flat or shaped)."""
-    eps = np.asarray(errors, dtype=float).reshape(-1)
+    """New grid with per-point phases rotated by `errors` (radians, flat or
+    shaped), which must be real (complex is rejected) and finite."""
+    eps = _reals("errors", errors).reshape(-1)
     if eps.size != grid.amps.size:
         raise ValueError(f"errors has length {eps.size}, expected {grid.amps.size}")
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("errors must be finite")
     return replace(grid, amps=grid.amps * np.exp(1j * eps))
