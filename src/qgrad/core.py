@@ -128,17 +128,19 @@ class ProblemSpec:
         return self.N ** self.d
 
 
-def _integer(name: str, value, low: int | None = None) -> int:
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """`value` as a Python int; bools, floats and other non-integers raise
-    ValueError, and so does an integer below `low`."""
+    ValueError, and so does an integer below `low` or above `high`."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_described(value)}") from None
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {_shown(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {_shown(value)}")
     return value
 
 
@@ -149,12 +151,24 @@ def _shown(value: int) -> str:
     return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
+def _described(value) -> str:
+    """A rejected scalar argument for a one-line message: an array by its dtype
+    and shape, whose repr may take many lines, anything else by its repr."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return f"an array of dtype {value.dtype} and shape {value.shape}"
+    return repr(value)
+
+
 def _real(name: str, value, finite: bool = False) -> float:
     """`value` as a Python float; bools, strings, arrays and other non-reals
-    raise ValueError, and so, with `finite`, do inf and nan."""
+    raise ValueError, as does an int beyond the floats, and so, with
+    `finite`, do inf and nan."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+        raise ValueError(f"{name} must be a real number, got {_described(value)}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the floats") from None
     if finite and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -173,13 +187,17 @@ def _reals(name: str, value, finite: bool = True) -> np.ndarray:
 
     Integer and float arrays convert, and so do object arrays of real
     numbers, such as Python ints beyond 64 bits; anything else raises
-    ValueError naming `name` (see `_check_reals`), as, with `finite`, does
-    an inf or nan.  Without `finite`, only an object array is checked
-    entry by entry: a float64 array costs a dtype test.
+    ValueError naming `name` (see `_check_reals`), as does an int beyond the
+    floats and, with `finite`, an inf or nan.  Without `finite`, only an
+    object array is checked entry by entry: a float64 array costs a dtype
+    test.
     """
     arr = np.asarray(value)
     _check_reals(name, arr, finite)
-    return arr.astype(float, copy=False)
+    try:
+        return arr.astype(float, copy=False)
+    except OverflowError:  # a Python int of an object array
+        raise ValueError(f"{name} must be finite, got an integer beyond the floats") from None
 
 
 def _check_reals(name: str, arr: np.ndarray, finite: bool = True) -> None:

@@ -4,7 +4,8 @@ Every builder returns a `TestFunction` whose callbacks are vectorized over
 leading axes: `eval` maps points of shape (..., d) to values of shape (...),
 `grad` to (..., d), and `hess` to (..., d, d).  Scalar input is accepted for
 one-dimensional functions.  Every coefficient must be finite and real,
-and a vector of coefficients must have at least one component.  A value
+a scalar one (c, a3, amplitude) a single number, and a vector of
+coefficients must have at least one component.  A value
 or derivative too large for a float is inf or nan, without a numpy warning;
 the build, the run and the precision budgets reject it with ValueError.  A
 function declares no range: `scanned_range` gives its exact min and max over
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemSpec, _reals, _symmetric
+from .core import ProblemSpec, _described, _reals, _symmetric
 
 
 @dataclass
@@ -51,6 +52,14 @@ def _points(x, d: int) -> np.ndarray:
     return pts
 
 
+def _coefficient(name: str, value) -> float:
+    """A scalar coefficient as a float, checked as `_reals` checks a vector."""
+    arr = _reals(name, value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a scalar, got {_described(arr)}")
+    return float(arr)
+
+
 def _catalog(name: str, d: int, ev, gr, he, vector: str = "g") -> TestFunction:
     """A catalog `TestFunction` whose callbacks run with numpy's overflow and
     invalid-value warnings off, so that a point too far out gives inf or nan.
@@ -73,7 +82,7 @@ def _catalog(name: str, d: int, ev, gr, he, vector: str = "g") -> TestFunction:
 def linear(g, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x, the exactly-linear case (zero Hessian everywhere)."""
     g = np.atleast_1d(_reals("g", g))
-    _reals("c", c)
+    c = _coefficient("c", c)
     d = g.size
 
     def ev(x):
@@ -90,15 +99,12 @@ def linear(g, c: float = 0.0) -> TestFunction:
     return _catalog("linear", d, ev, gr, he)
 
 
-def _einsum_form(pts: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", pts, H, pts)
-
-
 def _slab_form(pts: np.ndarray, H: np.ndarray, rows: int) -> np.ndarray:
     """x^T H x for each row x of the (n, d) `pts`: the terms (x_i*H_ij)*x_j summed
     from +0.0 in row-major (i, j) order, in slabs of about `rows` rows (at least 2).
 
-    Each slab's terms form one (d*d, rows) array, summed along its first axis.
+    Each slab's terms form one (d*d, rows) array, summed along its first axis,
+    which numpy does with elementwise adds, one (i, j) at a time.
     """
     n, d = pts.shape
     out = np.empty(n)
@@ -114,56 +120,32 @@ def _slab_form(pts: np.ndarray, H: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _slabs_give_einsum_bits() -> bool:
-    """Whether `_slab_form` gives `_einsum_form`'s bits for d = 2..8, on 16
-    points and an H of magnitudes 1e-8..1e8 and either sign.
-
-    The values follow golden-ratio sequences, so that no random generator is
-    loaded at import; H is not symmetric, which tells more orders apart.
-    """
-    for d in range(2, 9):
-        i = np.arange(16 * d + d * d)
-        sign = np.where(i * 0.7548776662466927 % 1.0 < 0.5, -1.0, 1.0)
-        v = sign * 10.0 ** (16.0 * (i * 0.6180339887498949 % 1.0) - 8.0)
-        pts, H = v[:16 * d].reshape(16, d), v[16 * d:].reshape(d, d)
-        if not np.array_equal(_slab_form(pts, H, 4), _einsum_form(pts, H)):
-            return False
-    return True
-
-
-# numpy 2.4's einsum sums x^T H x over 3 or more rows in the slab order; where
-# the installed numpy's does not, every input takes einsum
-_SLABS = _slabs_give_einsum_bits()
-
-
 def quadratic(g, H, c: float = 0.0) -> TestFunction:
     """f(x) = c + g.x + x^T H x / 2 with symmetric H.
 
-    x^T H x has the bits of np.einsum("...i,ij,...j->...", x, H, x).  For
-    an (n, d) array of n >= 3 points with d >= 2, einsum sums the terms
-    (x_i*H_ij)*x_j from +0.0 in row-major (i, j) order, and `eval` takes
-    that sum with a few numpy calls per slab of rows, each slab's terms
-    within BLOCK_POINTS floats (512 KB).  One or two points, d = 1 and
-    other shapes go to einsum itself, which sums in an order of its own
-    there or is faster (d = 1); so does every input when a probe at import
-    finds that the installed numpy's einsum does not sum in the slab order.
+    For an (n, d) array of n >= 3 points with d >= 2, x^T H x is the sum of
+    the terms (x_i*H_ij)*x_j from +0.0 in row-major (i, j) order, on every
+    numpy: `eval` takes it with a few numpy calls per slab of rows, each
+    slab's terms within BLOCK_POINTS floats (512 KB).  One or two points,
+    d = 1 (where einsum is faster) and other shapes take
+    np.einsum("...i,ij,...j->...", x, H, x), in the installed numpy's own
+    order.  numpy 2.4's einsum sums (n, d) rows in the slab order too.
     """
     g = np.atleast_1d(_reals("g", g))
-    _reals("c", c)
+    c = _coefficient("c", c)
     d = g.size
     H = _symmetric(H, d)
 
     def ev(x):
         pts = _points(x, d)
-        if not (_SLABS and d >= 2 and pts.ndim == 2 and len(pts) >= 3):
-            return c + pts @ g + 0.5 * _einsum_form(pts, H)
+        if not (d >= 2 and pts.ndim == 2 and len(pts) >= 3):
+            return c + pts @ g + 0.5 * np.einsum("...i,ij,...j->...", pts, H, pts)
         from .qsim import BLOCK_POINTS  # qsim imports this module
 
         # not qsim._blocks: the slabs split one block's terms evenly, with no
-        # one-row slab, to keep einsum's bits, a rule of this caller alone
+        # one-row slab, to keep the slab order, a rule of this caller alone
         form = _slab_form(pts, H, max(4, BLOCK_POINTS // (d * d)))
-        # halved in place, as numpy's temporary elision halves the einsum above,
-        # and taken before c + g.x, so that no block-sized sum waits through the slabs
+        # halved in place, and before c + g.x, so that no block-sized sum waits through the slabs
         form *= 0.5
         return c + pts @ g + form
 
@@ -179,7 +161,7 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
 
 def cubic_1d(a3: float) -> TestFunction:
     """f(x) = a3 * x^3 in one dimension; constant third derivative 6*a3."""
-    _reals("a3", a3)
+    a3 = _coefficient("a3", a3)
 
     def ev(x):
         return a3 * _points(x, 1)[..., 0] ** 3
@@ -195,7 +177,7 @@ def cubic_1d(a3: float) -> TestFunction:
 
 def sinusoid(amplitude: float, wavevector) -> TestFunction:
     """f(x) = amplitude * sin(k.x) with wavevector k."""
-    _reals("amplitude", amplitude)
+    amplitude = _coefficient("amplitude", amplitude)
     k = np.atleast_1d(_reals("wavevector", wavevector))
     d = k.size
 

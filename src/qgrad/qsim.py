@@ -68,6 +68,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     ProblemSpec,
     _check_reals,
     _integer,
@@ -514,9 +515,10 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     block's end, and once more only in the blocks whose range holds a
     sorted uniform, to search them there.  Weights that are negative or
     NaN, in any block, or whose sum is not finite and positive, raise
-    ValueError, as does a seed that is not an integer >= 0.
+    ValueError, as do shots that are not an integer in [1, MAX_POINTS]
+    (2**24, the lattice's cap) and a seed that is not an integer >= 0.
     """
-    shots = _integer("shots", shots, low=1)
+    shots = _integer("shots", shots, low=1, high=MAX_POINTS)
     seed = _integer("seed", seed, low=0)
     probs = dist.probs
     total = float(probs.sum())
@@ -755,9 +757,10 @@ def run_gradient_estimation(
     """Full pipeline: phase grid, forward transform, measurement statistics.
 
     shots = 0 skips sampling and reports distribution-level quantities only;
-    the seed is checked all the same.
+    the seed is checked all the same.  shots above MAX_POINTS (2**24, the
+    lattice's cap) raise ValueError before anything is built.
     """
-    shots = _integer("shots", shots, low=0)
+    shots = _integer("shots", shots, low=0, high=MAX_POINTS)
     seed = _integer("seed", seed, low=0)
     _check_d(f, spec)
     true_gradient = _reals(f"the gradient of {f.name}", f.grad(spec.x0), finite=False).reshape(spec.d)
@@ -785,7 +788,10 @@ def run_gradient_estimation(
             variances[axis] = _variance(w, N, total, means[axis])
 
     # both jobs only read the distribution; with two chunks the statistics run
-    # on the calling thread and sampling on a second worker
+    # on the calling thread and sampling on a second worker.  That pays: each
+    # marginal is a full pass over the state, and the passes overlap the
+    # sampling (seed-0 dense_d4 and wide_d1 states, 2-vCPU Xeon, numpy 2.4.6:
+    # 39 ms split against 61 and 52 ms serial, medians of 35)
     jobs = (statistics, lambda: sample(dist, shots, seed)) if shots else (statistics,)
     done = _in_chunks(lambda first, last: [job() for job in jobs[first:last]], len(jobs), spec.size)
     draws = done[-1][-1] if shots else np.empty((0, spec.d), dtype=np.int64)

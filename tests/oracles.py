@@ -60,6 +60,18 @@ def choice_draws(probs, shape, shots: int, seed: int) -> np.ndarray:
     return np.column_stack(np.unravel_index(flat, shape)).astype(np.int64)
 
 
+def quadratic_form(pts, H) -> np.ndarray:
+    """x^T H x for each row x of the (n, d) `pts`, in the catalog quadratic's
+    order: the terms (x_i*H_ij)*x_j added one (i, j) at a time, in row-major
+    order, to np.zeros(n), with elementwise adds only."""
+    n, d = pts.shape
+    out = np.zeros(n)
+    for i in range(d):
+        for j in range(d):
+            out += (pts[:, i] * H[i, j]) * pts[:, j]
+    return out
+
+
 def quantized(f: TestFunction, spec: ProblemSpec) -> TestFunction:
     """The blackbox that returns f in fixed point: `core.fixed_point` of `spec`
     (the unwrapped oracle register) times one unit, m*l/(N*N_o)."""

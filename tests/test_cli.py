@@ -312,6 +312,12 @@ def test_validation_failure_exits_2(tmp_path):
         assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_shots_above_the_cap_exit_2(tmp_path, capsys):
+    # once numpy's MemoryError, allocating 2**40 uniforms, and exit 1
+    assert main(["run", "--shots", "1099511627776", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "shots must be <= 16777216" in capsys.readouterr().err
+
+
 def test_function_options_exit_2(tmp_path, capsys):
     cases = [
         (["run", "--function", "bogus"], "unknown function 'bogus'"),

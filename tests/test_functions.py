@@ -19,6 +19,7 @@ from qgrad import (
     scanned_range,
     sinusoid,
 )
+from oracles import quadratic_form
 
 
 def catalog_instances():
@@ -91,13 +92,17 @@ LAYOUTS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 8), st.sampled_from(sorted(SHAPES)), st.sampled_from(sorted(LAYOUTS)),
-       st.one_of(st.integers(0, 12), st.sampled_from([4095, 4097, 65520, qsim.BLOCK_POINTS])),
-       st.sampled_from([qsim.BLOCK_POINTS, 64, 7]), st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 32 - 1))
-def test_quadratic_eval_has_the_bits_of_einsum(d, shape, layout, n, block, zeros, seed):
-    # the slab sums over (n, d) rows, and einsum itself on every other input,
-    # give einsum's bits: checked against the expression the catalog used to evaluate
+# d, shape, layout, n, block (qsim.BLOCK_POINTS), the share of signed zeros, and a seed
+QUADRATIC_CASES = (
+    st.integers(1, 8), st.sampled_from(sorted(SHAPES)), st.sampled_from(sorted(LAYOUTS)),
+    st.one_of(st.integers(0, 12), st.sampled_from([4095, 4097, 65520, qsim.BLOCK_POINTS])),
+    st.sampled_from([qsim.BLOCK_POINTS, 64, 7]), st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 32 - 1),
+)
+
+
+def _quadratic_case(d, shape, layout, n, block, zeros, seed):
+    """g, H, c, the points x as drawn, those points as a float array of at
+    least one axis, and quadratic(g, H, c).eval(x) under `block`."""
     if shape == "scalar" and d != 1:
         shape = "point"
     if shape == "grid":
@@ -108,31 +113,60 @@ def test_quadratic_eval_has_the_bits_of_einsum(d, shape, layout, n, block, zeros
     x = _mixed(rng, SHAPES[shape](d, n), zeros)
     x = LAYOUTS[layout](x) if x.ndim else x
     pts = np.asarray(x, dtype=float).reshape(x.shape or (1,))
-    form = np.einsum("...i,ij,...j->...", pts, H, pts)
-    want = c + pts @ g + 0.5 * form
     with mock.patch.object(qsim, "BLOCK_POINTS", block):  # slabs of BLOCK_POINTS // d**2 rows, at least 4
         got = quadratic(g, H, c=c).eval(x)
-    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float64
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    if functions._SLABS and d >= 2 and pts.ndim == 2 and len(pts) >= 3:
-        # the slab sums themselves, zero signs included, which a wrong order
-        # would switch off through the probe
+    assert np.shape(got) == np.shape(x)[:-1] and np.asarray(got).dtype == np.float64
+    return g, H, c, pts, got
+
+
+@settings(max_examples=300, deadline=None)
+@given(*QUADRATIC_CASES)
+def test_quadratic_eval_sums_in_the_order_of_the_oracle(d, shape, layout, n, block, zeros, seed):
+    # on every numpy: the slab sums over (n, d) rows, n >= 3 and d >= 2, have
+    # the bits of the order oracle, zero signs included; every other input takes einsum
+    g, H, c, pts, got = _quadratic_case(d, shape, layout, n, block, zeros, seed)
+    slabs = d >= 2 and pts.ndim == 2 and len(pts) >= 3
+    form = quadratic_form(pts, H) if slabs else np.einsum("...i,ij,...j->...", pts, H, pts)
+    assert np.asarray(got).tobytes() == np.asarray(c + pts @ g + 0.5 * form).tobytes()
+    if slabs:
         assert functions._slab_form(pts, H, max(4, block // d ** 2)).tobytes() == form.tobytes()
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("n", [3, 5, 9, 13, 4097])
+def test_slab_sums_follow_the_order_oracle(d, n):
+    # n rows in slabs of at least 4: n = 5, 9 and 13 leave one row over, which
+    # a slab of its own would sum pairwise (d >= 3); magnitudes 1e-8..1e8 of
+    # either sign tell any other order of the d*d terms apart, and at zero
+    # points every term of -|H| is -0.0, which a sum from +0.0 makes +0.0
+    rng = np.random.default_rng(d * 10000 + n)
+    A, pts = _mixed(rng, (d, d), 0.1), _mixed(rng, (n, d), 0.1)
+    H = A + A.T
+    for x, M in ((pts, H), (np.zeros((n, d)), -np.abs(H))):
+        want = quadratic_form(x, M)
+        for rows in (4, max(4, qsim.BLOCK_POINTS // d ** 2)):
+            assert functions._slab_form(x, M, rows).tobytes() == want.tobytes()
+        assert quadratic(np.zeros(d), M).eval(x).tobytes() == (0.5 * want).tobytes()
+
+
 def test_slab_sums_start_from_plus_zero():
-    # every term (x_i*H_ij)*x_j of these points is -0.0, and einsum's sums start from +0.0
+    # every term (x_i*H_ij)*x_j of these points is -0.0, and the sums start from +0.0
     H = -np.array([[1.0, 0.5], [0.5, 1.0]])
     pts = np.zeros((9, 2))
-    want = np.einsum("...i,ij,...j->...", pts, H, pts)
+    want = quadratic_form(pts, H)
     assert want.tobytes() == np.zeros(9).tobytes()
     assert functions._slab_form(pts, H, 4).tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
-                    reason="einsum's order is measured on numpy 2.4")
-def test_numpy_2_4_takes_the_slab_sums():
-    assert functions._SLABS
+                    reason="einsum's order over (n, d) rows is the slab order on numpy 2.4, where it was measured")
+@settings(max_examples=300, deadline=None)
+@given(*QUADRATIC_CASES)
+def test_quadratic_eval_has_the_bits_of_einsum(d, shape, layout, n, block, zeros, seed):
+    # on every input, slab sums included: the einsum expression
+    g, H, c, pts, got = _quadratic_case(d, shape, layout, n, block, zeros, seed)
+    form = np.einsum("...i,ij,...j->...", pts, H, pts)
+    assert np.asarray(got).tobytes() == np.asarray(c + pts @ g + 0.5 * form).tobytes()
 
 
 def test_quadratic_eval_of_no_points():

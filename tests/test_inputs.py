@@ -288,6 +288,19 @@ CASES = {
     "circular_variance mean": (lambda: circular_variance(np.ones(4), "x"), "^mean must be a real number"),
     "circular_variance beyond the floats": (lambda: circular_variance([0.0, 0.0, 0.0, 1e308], 1.0),
                                             "give a variance of inf"),
+    # each once raised OverflowError converting a Python int beyond the floats
+    "fixed_point int beyond the floats": (lambda: fixed_point(np.array([2 ** 1100], dtype=object), LINE),
+                                          "^f_val must be finite"),
+    "ProblemSpec x0 int beyond the floats": (lambda: ProblemSpec(d=1, N=4, n_o=4, l=1.0, m=1.0, x0=[2 ** 1100]),
+                                             "^x0 must be finite"),
+    "eval points int beyond the floats": (lambda: linear([1.0]).eval(np.array([[2 ** 1100]], dtype=object)),
+                                          "^x must be finite"),
+    "ProblemSpec l int beyond the floats": (lambda: ProblemSpec(d=1, N=4, n_o=4, l=2 ** 1100, m=1.0),
+                                            "^l must be finite"),
+    # each once allocated the draws: numpy's MemoryError, or a run of minutes
+    "sample shots above the cap": (lambda: sample(DIST, 2 ** 50, 0), "^shots must be <= 16777216"),
+    "run_gradient_estimation shots above the cap": (
+        lambda: run_gradient_estimation(linear([0.25]), LINE, shots=2 ** 24 + 1), "^shots must be <= 16777216"),
 }
 
 
@@ -304,3 +317,13 @@ def test_a_bad_number_is_a_value_error_that_names_it(call, message):
             # a bad number with a right answer: a step past the lattice takes one row,
             # and step sizes that span a decade from 5e-324 give a slope or a ValueError
             assert message is None, answer
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("site", [site for site, (shape, *_) in SITES.items() if shape == ()])
+def test_an_array_for_a_scalar_is_a_one_line_value_error(site, dtype):
+    # once an 8-line message that printed the array, or no error at all for
+    # the catalog's scalar coefficients
+    with pytest.raises(ValueError) as caught:
+        SITES[site][1](np.arange(100, dtype=dtype))
+    assert "\n" not in str(caught.value), str(caught.value)

@@ -40,7 +40,14 @@ from qgrad import (
     wrap_signed,
 )
 from qgrad.qsim import BLOCK_POINTS
-from oracles import brute_force_transform, choice_draws, counted, ideal_planewave, ideal_state_fidelity
+from oracles import (
+    brute_force_transform,
+    choice_draws,
+    counted,
+    ideal_planewave,
+    ideal_state_fidelity,
+    quadratic_form,
+)
 
 
 def lattice(d, N):
@@ -392,21 +399,34 @@ def test_the_pool_gives_the_bits_of_one_worker(monkeypatch, spec, f, block, work
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_quadratic_builds_the_bits_of_einsum(monkeypatch, workers):
-    # six d = 4 blocks, whose values take the slab sums, against the catalog's
-    # old einsum expression; n_o and m*l put about 50 bits of f in each register
+def _check_quadratic_build(workers, monkeypatch, form):
+    """Six d = 4 blocks of the catalog quadratic, whose values take the slab
+    sums, give the values and amplitudes of c + x.g + form(x, H)/2; n_o and
+    m*l put about 50 bits of f in each register."""
     monkeypatch.setattr(qsim, "_WORKERS", workers)
     rng = np.random.default_rng(7)
     A = rng.normal(size=(4, 4))
     g, H, c = rng.normal(size=4), A + A.T, 0.3
     spec = ProblemSpec(d=4, N=24, n_o=40, l=2.0, m=2.0 ** -3, x0=rng.normal(size=4))
     f = quadratic(g, H, c=c)
-    einsum = replace(f, eval=lambda x: c + x @ g + 0.5 * np.einsum("...i,ij,...j->...", x, H, x))
+    reference = replace(f, eval=lambda x: c + x @ g + 0.5 * form(x, H))
     values = [np.concatenate([v for run in qsim._walk(fn, spec, lambda blocks: [v for _, _, v in blocks])
-                              for v in run]) for fn in (f, einsum)]
+                              for v in run]) for fn in (f, reference)]
     assert values[0].size == spec.size and np.array_equal(values[0], values[1])
-    assert np.array_equal(build_phase_state(f, spec).amps, build_phase_state(einsum, spec).amps)
+    assert np.array_equal(build_phase_state(f, spec).amps, build_phase_state(reference, spec).amps)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_quadratic_builds_the_bits_of_the_order_oracle(monkeypatch, workers):
+    _check_quadratic_build(workers, monkeypatch, quadratic_form)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="einsum's order over (n, d) rows is the slab order on numpy 2.4, where it was measured")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_quadratic_builds_the_bits_of_einsum(monkeypatch, workers):
+    # against the catalog's old einsum expression
+    _check_quadratic_build(workers, monkeypatch, lambda x, H: np.einsum("...i,ij,...j->...", x, H, x))
 
 
 def test_usable_cores_without_sched_getaffinity(monkeypatch):
