@@ -187,17 +187,30 @@ def _reals(name: str, value, finite: bool = True) -> np.ndarray:
 
     Integer and float arrays convert, and so do object arrays of real
     numbers, such as Python ints beyond 64 bits; anything else raises
-    ValueError naming `name` (see `_check_reals`), as does an int beyond the
-    floats and, with `finite`, an inf or nan.  Without `finite`, only an
-    object array is checked entry by entry: a float64 array costs a dtype
-    test.
+    ValueError naming `name` (see `_check_reals`), as does a number beyond
+    the floats (a Python int or a long double) and, with `finite`, an inf
+    or nan.  The array is converted first and checked after, so a long
+    double that the cast takes to inf is caught.  Without `finite`, only
+    an object or long-double array is checked entry by entry: a float64
+    array costs a dtype test.
     """
     arr = np.asarray(value)
-    _check_reals(name, arr, finite)
+    _check_reals(name, arr, finite=False)
     try:
-        return arr.astype(float, copy=False)
+        with np.errstate(over="ignore"):  # a long double beyond the floats casts to inf, caught below
+            out = arr.astype(float, copy=False)
     except OverflowError:  # a Python int of an object array
         raise ValueError(f"{name} must be finite, got an integer beyond the floats") from None
+    kind = arr.dtype.kind
+    if kind == "O" or (kind == "f" and (finite or arr.dtype.itemsize > 8)):
+        bad = ~np.isfinite(out)
+        if bad.any():
+            given = arr[bad]
+            if not finite:  # only what the cast took past the floats
+                given = given[np.isfinite(given.astype(np.longdouble))]
+            if given.size:  # str(), as format() would print a long double through a float
+                raise ValueError(f"{name} must be finite, got {given.flat[0]!s}")
+    return out
 
 
 def _check_reals(name: str, arr: np.ndarray, finite: bool = True) -> None:
@@ -274,7 +287,11 @@ def encode_input(delta, spec: ProblemSpec) -> np.ndarray:
     maps exactly onto the evaluation point x0.
     """
     arr = _index_array(delta, spec, "delta")
-    return spec.x0 + (spec.l / spec.N) * (arr - spec.N / 2.0)
+    # one float array, scaled and then shifted in place: s*y + x0 is x0 + s*y
+    points = arr - spec.N / 2.0
+    points *= spec.l / spec.N
+    points += spec.x0
+    return points
 
 
 def fixed_point(f_val, spec: ProblemSpec) -> np.ndarray:

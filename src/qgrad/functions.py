@@ -130,6 +130,8 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
     d = 1 (where einsum is faster) and other shapes take
     np.einsum("...i,ij,...j->...", x, H, x), in the installed numpy's own
     order.  numpy 2.4's einsum sums (n, d) rows in the slab order too.
+    g.x is `pts @ g` at d >= 2, and at d = 1 0.0 + x_0*g_0, the value of
+    a one-term BLAS dot, zero signs included, with no BLAS call.
     """
     g = np.atleast_1d(_reals("g", g))
     c = _coefficient("c", c)
@@ -138,7 +140,16 @@ def quadratic(g, H, c: float = 0.0) -> TestFunction:
 
     def ev(x):
         pts = _points(x, d)
-        if not (d >= 2 and pts.ndim == 2 and len(pts) >= 3):
+        if d == 1:
+            # a bare -0.0 product would stay -0.0 where BLAS gives 0.0; (0.0 + t) + c
+            # is t + (0.0 + c) to the bit, and the sums are made in place
+            value = pts[..., 0] * g[0]
+            value += 0.0 + c
+            form = np.einsum("...i,ij,...j->...", pts, H, pts)
+            form *= 0.5
+            value += form
+            return value
+        if not (pts.ndim == 2 and len(pts) >= 3):
             return c + pts @ g + 0.5 * np.einsum("...i,ij,...j->...", pts, H, pts)
         from .qsim import BLOCK_POINTS  # qsim imports this module
 

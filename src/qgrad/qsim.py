@@ -12,12 +12,13 @@ grid, which is what makes the estimator a single-query algorithm at any d.
 row-major blocks, so the state is the only lattice-sized array of the
 build.  When N_o <= BLOCK_POINTS the phases are gathered from one
 read-only table of the N_o unit phases, cached per register size, and
-otherwise taken by an exp per point.  The walk also gives the range of f
-it saw, which the grid and the run's report carry as `value_range`, so no
-caller needs a second walk for it.  A grid holds its amplitudes or
-probabilities as one C-contiguous flat array.  A d = 1 lattice is the d >= 2
-one with no leading axes: its blocks are enumerated, and its line
-transformed, by the same code.
+otherwise taken by an exp per point; the four-step's twiddle tables are
+likewise read-only and cached per line size.  The walk also gives the
+range of f it saw, which the grid and the run's report carry as
+`value_range`, so no caller needs a second walk for it.  A grid holds its
+amplitudes or probabilities as one C-contiguous flat array.  A d = 1
+lattice is the d >= 2 one with no leading axes: its blocks are
+enumerated, and its line transformed, by the same code.
 
 Every blocked loop (the walk, `|amps|^2`, both passes of sampling, the
 variance, the transform's column slabs and groups of inner-axis slices,
@@ -206,7 +207,10 @@ def build_phase_state(f: TestFunction, spec: ProblemSpec) -> AmplitudeGrid:
     each point.  Both evaluate the same expression, so both ways give the
     same phases to the bit, which `_divide` then divides by N^(d/2) in
     place.  The state, one C-contiguous array of 16 bytes per point, is
-    the only lattice-sized array built.
+    the only lattice-sized array built.  A block frees few temporaries:
+    glibc gives the top of its heap back to the OS once more than twice
+    the largest mmapped chunk freed so far lies free there, so a block
+    that freed more would fault its pages in again on every block.
     """
     amps = np.empty(spec.size, dtype=complex)
     scale = spec.N ** (spec.d / 2.0)
@@ -438,21 +442,17 @@ def _four_step(a: np.ndarray, scale: float) -> None:
     row-major order.  Each pass splits its columns, rows or tile pairs over the
     workers and does every element the same way in any chunk, so the bits
     do not depend on the worker count.  The twiddles of row k1 = 64*q + r
-    are row q of `hi` times row r of `lo`, two tables of 16 * n1 * (n1/64 +
-    64) bytes together (3 MB at N = 2**22), whose index products are reduced
-    mod N before the exp.  The row pass splits the runs of 64 rows over the
-    workers; each block of a run (`_blocks`, a line being a row) is
-    multiplied in place by the run's row of `hi` and a slice of `lo`, and
-    is scaled while it is in cache.  The column pass runs first, so its
-    slab buffers are freed before the tables are built.  The transpose
-    swaps 64x64 tiles through one tile copy.
+    are row q of `hi` times row r of `lo`, read-only tables that
+    `_four_step_tables` keeps for the last 4 sizes, built once per size
+    (3 MB at N = 2**22, 8 MB at the MAX_POINTS cap).  The row pass splits
+    the runs of 64 rows over the workers; each block of a run (`_blocks`,
+    a line being a row) is multiplied in place by the run's row of `hi`
+    and a slice of `lo`, and is scaled while it is in cache.  The
+    transpose swaps 64x64 tiles through one tile copy.
     """
     _columns(a)
     n1 = a.shape[0]
-    N = n1 * n1
-    j2 = np.arange(n1)
-    hi = _twiddles(64 * np.arange(-(-n1 // 64)), j2, N)
-    lo = _twiddles(np.arange(min(64, n1)), j2, N)
+    hi, lo = _four_step_tables(n1)
     # the runs of 64 rows: one row of `hi` each, and the sides of the transpose's tiles
     runs = [slice(64 * q, 64 * (q + 1)) for q in range(len(hi))]
 
@@ -477,8 +477,26 @@ def _four_step(a: np.ndarray, scale: float) -> None:
                 upper[...] = lower.T
             lower[...] = held.T
 
-    _in_chunks(lines, len(runs), N)
-    _in_chunks(transpose, len(pairs), N)
+    _in_chunks(lines, len(runs), a.size)
+    _in_chunks(transpose, len(pairs), a.size)
+
+
+# bounded: a process keeps the tables of its last 4 four-step sizes, 8 MB a
+# size at most (n1 = 4096, N = MAX_POINTS), 32 MB in all
+@functools.lru_cache(maxsize=4)
+def _four_step_tables(n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_four_step`'s twiddles for an n1*n1-point line: `hi`, rows k1 = 64*q
+    of exp(-2*pi*i*k1*j2/N), and `lo`, rows k1 = 0..63, 16 * n1 *
+    (ceil(n1/64) + min(64, n1)) bytes together (3 MB at N = 2**22).
+
+    Their index products are reduced mod N before the exp (`_twiddles`).
+    The tables are read-only: every transform of this size shares them.
+    """
+    N, j2 = n1 * n1, np.arange(n1)
+    tables = _twiddles(64 * np.arange(-(-n1 // 64)), j2, N), _twiddles(np.arange(min(64, n1)), j2, N)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def outcome_distribution(grid: AmplitudeGrid, *, in_place: bool = False) -> OutcomeDistribution:

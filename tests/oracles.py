@@ -72,6 +72,16 @@ def quadratic_form(pts, H) -> np.ndarray:
     return out
 
 
+def quadratic_line(pts, g, H, c: float) -> np.ndarray:
+    """The catalog quadratic of one variable at the (..., 1) `pts`, in its
+    order: c + (0.0 + x_0*g_0) + 0.5*einsum("...i,ij,...j->...", x, H, x).
+
+    0.0 + x_0*g_0 is g.x as a BLAS dot of one term gives it, a -0.0
+    product summed to +0.0, with no BLAS call.
+    """
+    return c + (0.0 + pts[..., 0] * g[0]) + 0.5 * np.einsum("...i,ij,...j->...", pts, H, pts)
+
+
 def quantized(f: TestFunction, spec: ProblemSpec) -> TestFunction:
     """The blackbox that returns f in fixed point: `core.fixed_point` of `spec`
     (the unwrapped oracle register) times one unit, m*l/(N*N_o)."""

@@ -15,7 +15,7 @@ from qgrad import (
     quantize_output,
     signed_index,
 )
-from qgrad.core import _round_half_up, _symmetric
+from qgrad.core import _reals, _round_half_up, _symmetric
 
 
 def spec_1d(N=4, n_o=3, l=1.0, m=1.0, x0=None):
@@ -48,6 +48,19 @@ def test_encode_with_offset():
     assert encode_input([6], spec) == pytest.approx([1.1])
 
 
+@pytest.mark.parametrize("d,N,l,x0", [(1, 2 ** 20, 1.0, [0.0]), (1, 37, 0.3, [-1e-3]), (3, 17, 1.3, [0.7, -1e-3, 5.0]),
+                                       (2, 6, 1e-9, [1e8, -0.0])])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_encode_has_the_bits_of_its_one_expression(d, N, l, x0, dtype):
+    # built as one array, scaled and shifted in place: the same bits as x0 + (l/N)*(delta - N/2)
+    spec = ProblemSpec(d=d, N=N, n_o=8, l=l, m=1.0, x0=x0)
+    rows = np.linspace(0, spec.size - 1, 4099).astype(np.int64)
+    for delta in (np.stack(np.unravel_index(rows, spec.shape), axis=-1).astype(dtype),
+                  np.broadcast_to(np.arange(N, dtype=dtype)[:, None], (N, d)), np.full(d, N - 1, dtype=dtype)):
+        got = encode_input(delta, spec)
+        assert got.tobytes() == (spec.x0 + (spec.l / spec.N) * (delta - spec.N / 2.0)).tobytes()
+
+
 # a float, a bool, a NaN or a string is no lattice index, even where it compares in range
 NOT_INDICES = ([0.5], [True], [float("nan")], ["3"])
 
@@ -78,6 +91,19 @@ def test_encode_affine_monotone_per_axis():
     steps = np.diff(xs)
     assert np.all(steps > 0)
     assert steps == pytest.approx(np.full(15, spec.l / spec.N))
+
+
+def test_a_long_double_past_the_floats_is_no_inf():
+    # converted first and checked after: a long double inf is taken as inf where
+    # inf is allowed, and a finite one the cast takes to inf raises, with no warning
+    big, inf = np.longdouble("1e400"), np.longdouble("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _reals("v", np.array([inf, 2.0]), finite=False).tolist() == [np.inf, 2.0]
+        for finite in (True, False):
+            for values in (np.array([2.0, -big, inf]), np.array([1.0, big], dtype=object)):
+                with pytest.raises(ValueError, match="^v must be finite, got -?1e\\+400$"):
+                    _reals("v", values, finite=finite)
 
 
 # --- quantize_output: round(N*N_o*f/(m*l)) mod N_o ---

@@ -19,7 +19,7 @@ from qgrad import (
     scanned_range,
     sinusoid,
 )
-from oracles import quadratic_form
+from oracles import quadratic_form, quadratic_line
 
 
 def catalog_instances():
@@ -109,7 +109,7 @@ def _quadratic_case(d, shape, layout, n, block, zeros, seed):
         n = min(n, 50)
     rng = np.random.default_rng(seed)
     A = _mixed(rng, (d, d), zeros)
-    H, g, c = A + A.T, _mixed(rng, d), float(_mixed(rng, ()))
+    H, g, c = A + A.T, _mixed(rng, d, zeros), float(_mixed(rng, (), zeros))
     x = _mixed(rng, SHAPES[shape](d, n), zeros)
     x = LAYOUTS[layout](x) if x.ndim else x
     pts = np.asarray(x, dtype=float).reshape(x.shape or (1,))
@@ -122,12 +122,14 @@ def _quadratic_case(d, shape, layout, n, block, zeros, seed):
 @settings(max_examples=300, deadline=None)
 @given(*QUADRATIC_CASES)
 def test_quadratic_eval_sums_in_the_order_of_the_oracle(d, shape, layout, n, block, zeros, seed):
-    # on every numpy: the slab sums over (n, d) rows, n >= 3 and d >= 2, have
-    # the bits of the order oracle, zero signs included; every other input takes einsum
+    # on every numpy and BLAS: one variable in the order of its oracle, and the slab
+    # sums over (n, d) rows, n >= 3 and d >= 2, in the order of theirs, zero signs
+    # included; every other input takes einsum
     g, H, c, pts, got = _quadratic_case(d, shape, layout, n, block, zeros, seed)
     slabs = d >= 2 and pts.ndim == 2 and len(pts) >= 3
     form = quadratic_form(pts, H) if slabs else np.einsum("...i,ij,...j->...", pts, H, pts)
-    assert np.asarray(got).tobytes() == np.asarray(c + pts @ g + 0.5 * form).tobytes()
+    want = quadratic_line(pts, g, H, c) if d == 1 else c + pts @ g + 0.5 * form
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     if slabs:
         assert functions._slab_form(pts, H, max(4, block // d ** 2)).tobytes() == form.tobytes()
 
@@ -163,10 +165,12 @@ def test_slab_sums_start_from_plus_zero():
 @settings(max_examples=300, deadline=None)
 @given(*QUADRATIC_CASES)
 def test_quadratic_eval_has_the_bits_of_einsum(d, shape, layout, n, block, zeros, seed):
-    # on every input, slab sums included: the einsum expression
+    # on every input, slab sums included: the einsum expression, with one
+    # variable's g.x as its oracle takes it, where only BLAS ties pts @ g to it
     g, H, c, pts, got = _quadratic_case(d, shape, layout, n, block, zeros, seed)
     form = np.einsum("...i,ij,...j->...", pts, H, pts)
-    assert np.asarray(got).tobytes() == np.asarray(c + pts @ g + 0.5 * form).tobytes()
+    want = quadratic_line(pts, g, H, c) if d == 1 else c + pts @ g + 0.5 * form
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_quadratic_eval_of_no_points():

@@ -297,6 +297,14 @@ CASES = {
                                           "^x must be finite"),
     "ProblemSpec l int beyond the floats": (lambda: ProblemSpec(d=1, N=4, n_o=4, l=2 ** 1100, m=1.0),
                                             "^l must be finite"),
+    # each once became inf, with numpy's cast warning: a long double beyond the floats
+    "ProblemSpec x0 long double beyond the floats": (
+        lambda: ProblemSpec(d=1, N=4, n_o=4, l=1.0, m=1.0, x0=np.array([np.longdouble("1e400")])),
+        "^x0 must be finite, got 1e\\+400"),
+    "eval points long double beyond the floats": (
+        lambda: linear([1.0]).eval(np.array([[np.longdouble("-1e400")]])), "^x must be finite"),
+    "build_phase_state eval long double beyond the floats": (
+        lambda: build_phase_state(_answering(np.longdouble("1e400")), LINE), "^the values of pool must be finite"),
     # each once allocated the draws: numpy's MemoryError, or a run of minutes
     "sample shots above the cap": (lambda: sample(DIST, 2 ** 50, 0), "^shots must be <= 16777216"),
     "run_gradient_estimation shots above the cap": (

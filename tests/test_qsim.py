@@ -802,6 +802,40 @@ def test_twiddle_tables_have_the_bits_of_one_expression(n1):
     assert _traced_peak(lambda: qsim._twiddles(64 * np.arange(-(-n1 // 64)), j2, N)) <= 24 * entries + 2 ** 18
 
 
+@pytest.mark.parametrize("n1", [64, 257, 2048])
+def test_the_four_step_tables_are_kept_per_size_and_read_only(n1):
+    # built once per size, with the bits of `_twiddles` built afresh, and shared by every transform
+    qsim._four_step_tables.cache_clear()
+    hi, lo = qsim._four_step_tables(n1)
+    N, j2 = n1 * n1, np.arange(n1)
+    assert hi.tobytes() == qsim._twiddles(64 * np.arange(-(-n1 // 64)), j2, N).tobytes()
+    assert lo.tobytes() == qsim._twiddles(np.arange(min(64, n1)), j2, N).tobytes()
+    for table in (hi, lo):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    again = qsim._four_step_tables(n1)
+    assert again[0] is hi and again[1] is lo
+    assert qsim._four_step_tables.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("N", [64 ** 2, 2 ** 18])
+def test_a_line_transforms_to_the_same_bits_from_its_kept_tables(monkeypatch, N):
+    # 64**2 with 1024-point blocks, 2**18 with the default: two transforms of one
+    # line on 1, 2 and 3 workers, the first building its tables and the rest sharing them
+    if N < BLOCK_POINTS:
+        monkeypatch.setattr(qsim, "BLOCK_POINTS", 1024)
+    shapes = _four_step_shapes(monkeypatch)
+    qsim._four_step_tables.cache_clear()
+    grid = random_grid(N, 1, seed=N + 1)
+    results = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qsim, "_WORKERS", workers)
+        results |= {fourier_transform(grid).amps.tobytes() for _ in range(2)}
+    assert shapes == [(math.isqrt(N),) * 2] * 6
+    assert len(results) == 1
+    assert qsim._four_step_tables.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("N", [2, 3, 1000, 200003, STREAMED_CASES[0][0].N, 2 ** 17, BLOCK_POINTS])
 def test_other_lines_stay_on_pocketfft(monkeypatch, N):
     # N not a square, or a square not above the block
